@@ -7,7 +7,7 @@ from .core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                    RefinementLimit, RngStream, RunResult, Sense, SgmConfig,
                    clamp, contains, counted_eval)
 from .testbed import foxholes_matrix, gradient, make_objective
-from .engine import SolverHandle, default_config, solve
+from .engine import default_config, solve
 from .baselines import SaConfig, random_search, reference_table, simulated_annealing
 from .bench import ExperimentSpec, Report, png_ratio, run_experiment
 
@@ -16,7 +16,7 @@ __all__ = [
     "GradientUnavailable", "LabelStrategy", "Objective", "RefinementLimit",
     "RngStream", "RunResult", "Sense", "SgmConfig", "clamp", "contains",
     "counted_eval", "foxholes_matrix", "gradient", "make_objective",
-    "SolverHandle", "default_config", "solve", "SaConfig", "random_search",
+    "default_config", "solve", "SaConfig", "random_search",
     "reference_table", "simulated_annealing", "ExperimentSpec", "Report",
     "png_ratio", "run_experiment",
 ]

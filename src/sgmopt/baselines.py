@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BudgetExceeded, EvalCounter, Objective, RngStream,
-                   RunResult, clamp, counted_eval, deviation)
+                   RunResult, Sense, better, clamp, counted_eval, deviation)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     for i in range(budget):
         x = rng.uniform(obj.domain.lo, obj.domain.hi)
         v = counted_eval(obj, x, counter, rng)
-        if best_v is None or v < best_v:
+        if best_v is None or better(v, best_v, Sense.MIN):
             best_x, best_v = x, v
             trace.append((i, float(v), tuple(float(c) for c in x)))
     sd, _ = deviation(best_x, obj.known_optimum)
@@ -138,9 +138,9 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream,
             for _ in range(sa.steps_per_temp):
                 prop = clamp(box, x + rng.normal(size=obj.dim) * sigma)
                 fp = counted_eval(obj, prop, counter, rng)
-                if fp < fx or rng.random() < np.exp(-(fp - fx) / temp):
+                if better(fp, fx, Sense.MIN) or rng.random() < np.exp(-(fp - fx) / temp):
                     x, fx = prop, fp
-                if fp < best_v:
+                if better(fp, best_v, Sense.MIN):
                     best_x, best_v = prop, fp
                     trace.append((stage, float(fp), tuple(float(c) for c in prop)))
             temp *= sa.cooling

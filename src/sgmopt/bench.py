@@ -33,7 +33,35 @@ F4_DETPART_TOL = 1e-2
 CSV_TRIAL_HEADER = "function,algorithm,trial,seed,generations,evaluations,best_f,best_x,sd,wallclock_ms"
 CSV_AGGREGATE_HEADER = "function,algorithm,trials,median_best_f,mean_generations,success_rate,png"
 
-_OVERRIDE_KEYS = ("tf", "mr", "rms", "trm", "tc", "budget", "labeling")
+
+def _labeling(raw) -> LabelStrategy:
+    valid = [s.value for s in LabelStrategy]
+    if str(raw).lower() not in valid:
+        raise ValueError(f"unknown labeling {raw!r}; valid: {', '.join(valid)}")
+    return LabelStrategy(str(raw).lower())
+
+
+# Per-function SGM overrides, shared by spec files (``F2.tf = 3``) and
+# ``sgmopt solve`` flags (``--tf 3``): key -> (SgmConfig field, converter).
+OVERRIDES = {
+    "tf": ("tf_rounds", int),
+    "rms": ("alpha_base", float),
+    "trm": ("trm_max", int),
+    "tc": ("tc_max", int),
+    "budget": ("eval_budget", int),
+    "labeling": ("labeling", _labeling),
+}
+
+
+def apply_overrides(cfg: SgmConfig, overrides: dict) -> SgmConfig:
+    """A copy of ``cfg`` with each ``OVERRIDES`` key in ``overrides`` set.
+
+    Raises ValueError for a key outside ``OVERRIDES`` or a value its
+    converter rejects."""
+    for key in overrides:
+        if key not in OVERRIDES:
+            raise ValueError(f"unknown override key {key!r}; valid: {', '.join(OVERRIDES)}")
+    return replace(cfg, **{OVERRIDES[k][0]: OVERRIDES[k][1](v) for k, v in overrides.items()})
 
 
 def png_ratio(reference_gens: int, sgm_gens: int) -> int:
@@ -72,11 +100,9 @@ class ExperimentSpec:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
-        for func, keys in self.overrides.items():
+        for func, overrides in self.overrides.items():
             testbed.make_objective(func)
-            for k in keys:
-                if k not in _OVERRIDE_KEYS:
-                    raise ValueError(f"unknown override key {k!r}; valid: {', '.join(_OVERRIDE_KEYS)}")
+            apply_overrides(engine.default_config(func), overrides)
 
 
 def _parse_value(raw: str):
@@ -103,7 +129,7 @@ def parse_spec_file(path) -> ExperimentSpec:
     Recognized keys: functions, algorithms (comma-separated lists), trials,
     master_seed, outputs, emit_svg, workers, record_timing, rs_budget,
     sa_t0, sa_cooling, sa_steps, sa_scale, and per-function overrides of the
-    form ``F2.tf = 3`` (keys: tf, mr, rms, trm, tc, budget, labeling).
+    form ``F2.tf = 3`` (keys: those of ``OVERRIDES``).
     """
     spec_kwargs: Dict = {}
     overrides: Dict[str, dict] = {}
@@ -177,28 +203,7 @@ class Report:
     svg_paths: list = field(default_factory=list)
 
 
-def _sgm_config(spec: ExperimentSpec, func: str) -> SgmConfig:
-    cfg = engine.default_config(func, seed=spec.master_seed)
-    ov = spec.overrides.get(func, {})
-    cfg_kwargs = {}
-    if "tf" in ov:
-        cfg_kwargs["tf_rounds"] = int(ov["tf"])
-    if "mr" in ov:
-        cfg_kwargs["mutation_rate"] = float(ov["mr"])
-    if "rms" in ov:
-        cfg_kwargs["alpha_base"] = float(ov["rms"])
-    if "trm" in ov:
-        cfg_kwargs["trm_max"] = int(ov["trm"])
-    if "tc" in ov:
-        cfg_kwargs["tc_max"] = int(ov["tc"])
-    if "budget" in ov:
-        cfg_kwargs["eval_budget"] = int(ov["budget"])
-    if "labeling" in ov:
-        cfg_kwargs["labeling"] = LabelStrategy[str(ov["labeling"]).upper()]
-    return replace(cfg, **cfg_kwargs) if cfg_kwargs else cfg
-
-
-def is_success(func: str, result_best_x, result_best_f=None) -> bool:
+def is_success(func: str, result_best_x) -> bool:
     if func == "F4":
         return testbed.f4_deterministic(np.asarray(result_best_x)) <= F4_DETPART_TOL
     obj = testbed.make_objective(func)
@@ -235,7 +240,8 @@ def _run_single(spec: ExperimentSpec, func: str, alg: str, trial: int):
     rng = RngStream(spec.master_seed, trial)
     collector = _SvgCollector() if (spec.emit_svg and alg == "SGM" and obj.dim == 2) else None
     if alg == "SGM":
-        cfg = _sgm_config(spec, func)
+        cfg = apply_overrides(engine.default_config(func, seed=spec.master_seed),
+                              spec.overrides.get(func, {}))
         result = engine.solve(
             obj, cfg, rng=rng,
             phase1_sink=collector.phase1 if collector else None,
@@ -305,7 +311,7 @@ def compute_aggregates(rows: List[TrialRow]) -> List[AggregateRow]:
         grp = groups[(func, alg)]
         median_f = statistics.median(r.best_f for r in grp)
         mean_gens = sum(r.generations for r in grp) / len(grp)
-        successes = sum(1 for r in grp if is_success(func, r.best_x, r.best_f))
+        successes = sum(1 for r in grp if is_success(func, r.best_x))
         png = None
         if func in de and mean_gens >= 1:
             png = png_ratio(de[func], max(1, round(mean_gens)))

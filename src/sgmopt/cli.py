@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import baselines, bench, engine, subdivision, testbed
-from .core import EvalContext, EvalCounter, LabelStrategy, RngStream, Sense, SgmConfig
+from .core import EvalContext, EvalCounter, RngStream, Sense, SgmConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,14 +29,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="single SGM run, result as JSON")
     p_solve.add_argument("function", help="objective name (TP1, BEALE, F1..F5)")
-    p_solve.add_argument("--tf", type=int, help="phase-1 subdivision rounds")
-    p_solve.add_argument("--mr", type=float, help="mutation rate")
-    p_solve.add_argument("--rms", type=float, help="base ray-mutation length")
-    p_solve.add_argument("--trm", type=int, help="rotational-mutation cap")
-    p_solve.add_argument("--tc", type=int, help="crossover cap")
+    for key, (field, _) in bench.OVERRIDES.items():
+        p_solve.add_argument(f"--{key}", help=f"sets SgmConfig.{field}")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--budget", type=int, help="evaluation budget")
-    p_solve.add_argument("--labeling", choices=["best_neighbor", "gradient"])
     p_solve.add_argument("--sense", choices=["min", "max"], default="min")
 
     sub.add_parser("tables", help="print the embedded reference table")
@@ -46,27 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     try:
         obj = testbed.make_objective(args.function)
-        cfg = engine.default_config(obj, seed=args.seed)
-        updates = {}
-        if args.tf is not None:
-            updates["tf_rounds"] = args.tf
-        if args.mr is not None:
-            updates["mutation_rate"] = args.mr
-        if args.rms is not None:
-            updates["alpha_base"] = args.rms
-        if args.trm is not None:
-            updates["trm_max"] = args.trm
-        if args.tc is not None:
-            updates["tc_max"] = args.tc
-        if args.budget is not None:
-            updates["eval_budget"] = args.budget
-        if args.labeling is not None:
-            updates["labeling"] = LabelStrategy[args.labeling.upper()]
-        if args.sense == "max":
-            updates["sense"] = Sense.MAX
-        if updates:
-            from dataclasses import replace
-            cfg = replace(cfg, **updates)
+        overrides = {k: getattr(args, k) for k in bench.OVERRIDES if getattr(args, k) is not None}
+        cfg = bench.apply_overrides(engine.default_config(obj, seed=args.seed), overrides)
+        cfg = replace(cfg, sense=Sense(args.sense))
         result = engine.solve(obj, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -135,7 +113,7 @@ def _cmd_validate(_args) -> int:
 
     def check_labels():
         obj = testbed.make_objective("TP1", bounds=1.0)
-        cfg = SgmConfig(mutation_rate=0.0)
+        cfg = SgmConfig()
         ctx = EvalContext(obj, EvalCounter(1000), RngStream(0), Sense.MIN)
         cell = subdivision.initial_cell(obj.domain)
         got = {}

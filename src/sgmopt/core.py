@@ -197,8 +197,11 @@ def counted_eval(obj: Objective, p, counter: EvalCounter, rng: Optional[RngStrea
 
 
 def better(a: float, b: float, sense: Sense) -> bool:
-    """Strictly better in the configured sense (ties are never better)."""
-    return a < b if sense is Sense.MIN else a > b
+    """Strictly better in the configured sense (ties are never better).
+
+    NaN ranks worst: any non-NaN value beats it, and it beats nothing."""
+    beats = a < b if sense is Sense.MIN else a > b
+    return beats or (b != b and a == a)
 
 
 @dataclass
@@ -206,7 +209,6 @@ class SgmConfig:
     """All SGM tunables.
 
     tf_rounds      subdivision rounds in phase 1
-    mutation_rate  per-vertex probability of the neighborhood improvement step
     alpha_base     base ray-mutation length (the sweep tries 1x..10x of it)
     trm_max        rotational-mutation candidate cap, per run
     tc_max         crossover invocation cap, per run
@@ -215,7 +217,6 @@ class SgmConfig:
 
     sense: Sense = Sense.MIN
     tf_rounds: int = 3
-    mutation_rate: float = 0.5
     alpha_base: float = 0.1
     trm_max: int = 50
     tc_max: int = 20
@@ -228,8 +229,6 @@ class SgmConfig:
     def validate(self, obj: Optional[Objective] = None):
         if self.tf_rounds < 0:
             raise ValueError("tf_rounds must be >= 0")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
         if self.alpha_base <= 0:
             raise ValueError("alpha_base must be positive")
         if self.trm_max < 0 or self.tc_max < 0:

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (EvalContext, EvalCounter, Objective, RngStream, RunResult,
@@ -28,20 +27,6 @@ def default_config(obj_or_name, seed: int = 0) -> SgmConfig:
     name = obj_or_name.name if isinstance(obj_or_name, Objective) else str(obj_or_name)
     settings = _FUNCTION_SETTINGS.get(name.strip().upper(), _GENERIC_SETTINGS)
     return SgmConfig(seed=seed, **settings)
-
-
-@dataclass
-class SolverHandle:
-    """An objective paired with a validated configuration."""
-
-    objective: Objective
-    config: SgmConfig
-
-    def __post_init__(self):
-        self.config.validate(self.objective)
-
-    def run(self, rng: Optional[RngStream] = None) -> RunResult:
-        return solve(self.objective, self.config, rng=rng)
 
 
 def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,

@@ -42,7 +42,6 @@ def select_best_vertex(outcome: Phase1Outcome, sense: Sense):
     coordinates in lexicographic order."""
     if not outcome.vertices:
         raise ValueError("phase-1 outcome has no labeled vertices")
-    ordered = min if sense is Sense.MIN else max
     best = None
     for v in outcome.vertices:
         if best is None:
@@ -147,21 +146,9 @@ def crossover_midpoint(p1, p2) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def nearest_corner_index(cell: GridCell, p) -> int:
-    """Corner of the cell nearest to p (per-axis; exact ties pick the lower
-    corner, which is the lexicographically smaller point)."""
-    p = np.asarray(p, dtype=float)
-    mid = cell.center
-    index = 0
-    for j in range(cell.dim):
-        if p[j] > mid[j]:
-            index |= 1 << j
-    return index
-
-
 def crossover_adjacent_sides(cell: GridCell, ray_end) -> List[np.ndarray]:
     """Midpoints of the n cell edges incident to the corner nearest ray_end."""
-    idx = nearest_corner_index(cell, ray_end)
+    idx = cell.closest_corner_index(ray_end)
     corner = cell.corner(idx)
     step = cell.step
     mids = []

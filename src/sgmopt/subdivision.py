@@ -69,10 +69,6 @@ class GridCell:
     def center(self) -> np.ndarray:
         return self.base + 0.5 * self.step
 
-    @property
-    def corner_count(self) -> int:
-        return 2 ** self.dim
-
     def corner_bits(self, index: int) -> np.ndarray:
         return np.array([(index >> j) & 1 for j in range(self.dim)], dtype=np.int64)
 
@@ -96,18 +92,17 @@ class GridCell:
             sampled.add(top ^ (1 << j))
         return sorted(sampled)
 
+    def closest_corner_index(self, p) -> int:
+        """Index of the corner nearest p, per axis; a coordinate on the
+        split plane picks the lower corner (the lexicographically smaller
+        point)."""
+        mid = self.center
+        return sum(1 << j for j in range(self.dim) if p[j] > mid[j])
+
     def subdivide(self) -> List["GridCell"]:
         """The 2^n children obtained by halving every axis, ordered by child
         corner index (axis j is bit j)."""
-        if self.level >= MAX_LEVEL:
-            raise RefinementLimit(f"cell at level {self.level} cannot be halved further")
-        children = []
-        base2 = tuple(2 * k for k in self.base_k)
-        for i in range(2 ** self.dim):
-            bits = [(i >> j) & 1 for j in range(self.dim)]
-            child_k = tuple(b2 + b for b2, b in zip(base2, bits))
-            children.append(GridCell(self.lo, self.extent, self.level + 1, child_k))
-        return children
+        return [self.child(i) for i in range(2 ** self.dim)]
 
     def child(self, index: int) -> "GridCell":
         if self.level >= MAX_LEVEL:
@@ -118,13 +113,7 @@ class GridCell:
 
     def child_containing(self, p) -> "GridCell":
         """The child holding p; points on the split plane go to the lower child."""
-        p = np.asarray(p, dtype=float)
-        mid = self.center
-        index = 0
-        for j in range(self.dim):
-            if p[j] > mid[j]:
-                index |= 1 << j
-        return self.child(index)
+        return self.child(self.closest_corner_index(p))
 
     def contains_point(self, p) -> bool:
         p = np.asarray(p, dtype=float)
@@ -269,10 +258,6 @@ def is_completely_labeled(labels, n: int) -> bool:
     return set(range(n + 1)) <= set(labels)
 
 
-def subdivide(cell: GridCell) -> List[GridCell]:
-    return cell.subdivide()
-
-
 def _select_cell(candidates, labeled, planned_counts, sense):
     """First completely labeled candidate, else the one with the most
     distinct labels (ties: best vertex value, then enumeration order)."""
@@ -304,12 +289,8 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
 
     Performs tf_rounds subdivisions with a labeling pass before each and one
     final labeling pass over the last children, so grids at levels
-    0..tf_rounds all get labeled.  With probability mutation_rate per vertex
-    the neighborhood improvement step additionally proposes the best Moore
-    neighbor as a population member (under BEST_NEIGHBOR labeling that
-    search already ran, so only gradient labeling spends extra evaluations
-    on it).  On budget exhaustion the outcome so far is returned with
-    complete=False.
+    0..tf_rounds all get labeled.  On budget exhaustion the outcome so far
+    is returned with complete=False.
     """
     cell0 = initial_cell(obj.domain)
     candidates = [cell0]
@@ -333,10 +314,6 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
                     if vert is None:
                         vert = label_vertex(ctx, cell, idx, config)
                         label_cache[key] = vert
-                        if config.mutation_rate > 0 and ctx.rng.random() < config.mutation_rate:
-                            if config.labeling is LabelStrategy.GRADIENT:
-                                best_neighbor(ctx, vert.as_array(), 0.5 * cell.step,
-                                              center_hint=cell.center)
                     labeled[ci].append(vert)
         except BudgetExceeded:
             budget_hit = True

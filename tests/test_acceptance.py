@@ -14,7 +14,7 @@ from sgmopt.engine import default_config, solve
 from sgmopt.refinement import crossover_midpoint
 from sgmopt.subdivision import (initial_cell, is_completely_labeled,
                                 label_by_direction, label_by_gradient,
-                                label_vertex, subdivide)
+                                label_vertex)
 from sgmopt.testbed import (f4_deterministic, finite_difference_gradient,
                             gradient, make_objective)
 
@@ -43,7 +43,7 @@ def dejong_suite():
 
 def test_criterion_1_labeling_oracle():
     obj = make_objective("TP1", bounds=1.0)
-    cfg = SgmConfig(mutation_rate=0.0)
+    cfg = SgmConfig()
     # warm-up pass so the timed run measures the operation, not imports
     ctx = EvalContext(obj, EvalCounter(10_000), RngStream(0), Sense.MIN)
     cell = initial_cell(obj.domain)
@@ -58,7 +58,7 @@ def test_criterion_1_labeling_oracle():
         labels[v.point] = v.label
     complete = is_completely_labeled(labels.values(), 2)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    kids = subdivide(cell)
+    kids = cell.subdivide()
     introduced = {tuple(k.corner(i)) for k in kids for i in range(4)}
     expected = {(-1.0, 1.0): 2, (1.0, 1.0): 2, (-1.0, -1.0): 0, (1.0, -1.0): 1}
     ok = labels == expected and complete and (0.0, 0.0) in introduced and elapsed_ms < 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from sgmopt.baselines import (SaConfig, de_row, random_search,
                               reference_table, rslmga_row, simulated_annealing)
-from sgmopt.core import RngStream
+from sgmopt.core import BoxDomain, Objective, RngStream
 from sgmopt.testbed import make_objective
 
 
@@ -75,6 +75,27 @@ class TestSimulatedAnnealing:
         obj = make_objective("TP1")
         r = simulated_annealing(obj, SaConfig(), RngStream(11, 0))
         assert max(abs(r.best_point[0]), abs(r.best_point[1])) <= 0.1
+
+
+def nan_first_objective():
+    """Quadratic on [-2, 2]^2 whose first evaluation returns NaN."""
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return float("nan") if len(calls) == 1 else float(np.sum((x - 0.3) ** 2))
+    return Objective(name="NANFIRST", dim=2,
+                     domain=BoxDomain(np.full(2, -2.0), np.full(2, 2.0)), fn=fn)
+
+
+@pytest.mark.parametrize("run", [
+    lambda obj: random_search(obj, 200, RngStream(0)),
+    lambda obj: simulated_annealing(obj, SaConfig(), RngStream(0)),
+], ids=["random_search", "simulated_annealing"])
+def test_nan_first_draw_does_not_stick(run):
+    r = run(nan_first_objective())
+    assert np.isfinite(r.best_value)
+    assert r.best_value == float(np.sum((np.asarray(r.best_point) - 0.3) ** 2))
 
 
 class TestReferenceTable:

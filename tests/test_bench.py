@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from sgmopt import cli
-from sgmopt.bench import (CSV_AGGREGATE_HEADER, CSV_TRIAL_HEADER,
+from sgmopt import cli, engine
+from sgmopt.bench import (CSV_AGGREGATE_HEADER, CSV_TRIAL_HEADER, OVERRIDES,
                           ExperimentSpec, compute_aggregates, emit_csv,
                           emit_json, is_success, parse_spec_file,
                           parse_trial_csv, png_ratio, png_row, run_experiment)
+from sgmopt.core import RunResult
+from sgmopt.engine import default_config
 
 
 class TestPngRatio:
@@ -69,6 +71,17 @@ sa_t0 = 5.0
     def test_unknown_override_key_rejected(self):
         spec = ExperimentSpec(functions=("F1",), overrides={"F1": {"popsize": 3}})
         with pytest.raises(ValueError, match="popsize"):
+            spec.validate()
+
+    def test_mr_key_rejected_with_valid_keys(self, tmp_path):
+        p = tmp_path / "mr.txt"
+        p.write_text("functions = F1\nF1.mr = 0.5\n")
+        with pytest.raises(ValueError, match="'mr'; valid: tf, rms, trm, tc, budget, labeling"):
+            parse_spec_file(p)
+
+    def test_bad_override_value_rejected(self):
+        spec = ExperimentSpec(functions=("F1",), overrides={"F1": {"labeling": "steepest"}})
+        with pytest.raises(ValueError, match="best_neighbor, gradient"):
             spec.validate()
 
 
@@ -220,6 +233,31 @@ class TestCli:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert cli.main(["solve", "F1", "--bogus", "3"]) == 1
+
+    def test_mr_flag_exits_1(self, capsys):
+        assert cli.main(["solve", "F1", "--mr", "0.5"]) == 1
+
+    @pytest.mark.parametrize("key,raw", [
+        ("tf", "1"), ("rms", "0.2"), ("trm", "7"), ("tc", "4"),
+        ("budget", "500"), ("labeling", "gradient")])
+    def test_override_same_config_from_spec_and_flag(self, key, raw, tmp_path,
+                                                     monkeypatch, capsys):
+        assert set(OVERRIDES) == {"tf", "rms", "trm", "tc", "budget", "labeling"}
+        configs = []
+
+        def fake_solve(obj, cfg, **_):
+            configs.append(cfg)
+            return RunResult(best_point=(0.0,) * obj.dim, best_value=0.0,
+                             evaluations=0, generations=0, sd=None)
+        monkeypatch.setattr(engine, "solve", fake_solve)
+        spec_file = tmp_path / "exp.txt"
+        spec_file.write_text(f"functions = F1\ntrials = 1\nF1.{key} = {raw}\n")
+        assert cli.main(["run", str(spec_file)]) == 0
+        assert cli.main(["solve", "F1", f"--{key}", raw]) == 0
+        from_spec, from_flag = configs
+        assert from_spec == from_flag
+        field = OVERRIDES[key][0]
+        assert getattr(from_spec, field) != getattr(default_config("F1"), field)
 
     def test_run_spec(self, tmp_path, capsys):
         out = tmp_path / "res"

@@ -190,3 +190,11 @@ def test_better_is_strict():
     assert not better(2.0, 2.0, Sense.MIN)
     assert better(2.0, 1.0, Sense.MAX)
     assert not better(1.0, 1.0, Sense.MAX)
+
+
+def test_better_ranks_nan_worst():
+    nan = float("nan")
+    for sense in (Sense.MIN, Sense.MAX):
+        assert better(1.0, nan, sense)
+        assert not better(nan, 1.0, sense)
+        assert not better(nan, nan, sense)

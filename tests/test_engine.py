@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sgmopt.core import LabelStrategy, Objective, Sense, SgmConfig
-from sgmopt.engine import SolverHandle, default_config, solve
+from sgmopt.core import BoxDomain, LabelStrategy, Objective, Sense, SgmConfig
+from sgmopt.engine import default_config, solve
 from sgmopt.testbed import f4_deterministic, make_objective
 
 
@@ -18,7 +18,6 @@ class TestDefaultConfig:
         for name, (tf, trm, tc) in rows.items():
             cfg = default_config(name)
             assert (cfg.tf_rounds, cfg.trm_max, cfg.tc_max) == (tf, trm, tc)
-            assert cfg.mutation_rate == 0.5
             assert cfg.alpha_base == 0.1
 
     def test_generic_fallback(self):
@@ -105,14 +104,24 @@ class TestSolve:
         r = solve(obj, default_config(obj, seed=4))
         assert f4_deterministic(np.asarray(r.best_point)) <= 1e-2
 
+    def test_nan_at_first_corner_does_not_stick(self):
+        # the all-lo corner is the first point evaluated
+        def fn(x):
+            return float("nan") if tuple(x) == (-2.0, -2.0) else float(np.sum((x - 0.3) ** 2))
+        obj = Objective(name="NANCORNER", dim=2,
+                        domain=BoxDomain(np.full(2, -2.0), np.full(2, 2.0)), fn=fn)
+        r = solve(obj, SgmConfig())
+        assert r.best_value < 1e-30
+        assert max(abs(c - 0.3) for c in r.best_point) < 1e-12
 
-class TestSolverHandle:
+
+class TestSolveValidation:
     def test_gradient_rejected_without_gradient(self):
         cfg = SgmConfig(labeling=LabelStrategy.GRADIENT)
         with pytest.raises(ValueError):
-            SolverHandle(make_objective("F3"), cfg)
+            solve(make_objective("F3"), cfg)
         with pytest.raises(ValueError):
-            SolverHandle(make_objective("F4"), cfg)
+            solve(make_objective("F4"), cfg)
 
     def test_config_error_before_any_evaluation(self):
         obj = make_objective("F4")
@@ -121,8 +130,7 @@ class TestSolverHandle:
             solve(obj, cfg)
 
     def test_runs(self):
-        handle = SolverHandle(make_objective("F1"), default_config("F1", seed=2))
-        r = handle.run()
+        r = solve(make_objective("F1"), default_config("F1", seed=2))
         assert r.best_value == 0.0
 
     def test_gradient_labeling_works_on_smooth(self):

@@ -4,11 +4,12 @@ digest here unchanged; a digest may change only with a deliberate change of
 results, recorded in CHANGES.md."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from sgmopt import (RngStream, SaConfig, default_config, make_objective,
-                    random_search, simulated_annealing, solve)
+from sgmopt import (LabelStrategy, RngStream, SaConfig, default_config,
+                    make_objective, random_search, simulated_annealing, solve)
 
 SGM_DIGESTS = {
     ("TP1", 0): "ed27aea4ec9349d06862c17417849b2cf189d1bfb634b44d490f3ca3269e054a",
@@ -19,6 +20,13 @@ SGM_DIGESTS = {
     ("F4", 0): "5d5bb3c076dc57e811209821ec246585fa7bcf44cdb7ace5d4dd7a497c81f774",
     ("F5", 0): "bc977b9256beadcc2907a90f1414f1ed6e42f2164e37b77d1c7d83d1ef0bc1b2",
     ("F4", 1): "b72ef76aee2a6351d71049d41e44db251b611a6e02b5c062f3cd7ba1df3bb8b4",
+}
+
+# GRADIENT labeling, seed 0: phase 1 evaluates the cell corners only (the
+# gradients are analytic), never their Moore neighbors.
+SGM_GRADIENT_DIGESTS = {
+    "F1": "97d7d15825a77179d555ae99234feb3f7a4cc903a9f4fad1dff01c9252a0932f",
+    "BEALE": "352339d457b52b70dfddcca488e1b27fef5f250a8f9b6dfd83947c9128f479c8",
 }
 
 RS_DIGESTS = {
@@ -42,6 +50,13 @@ def digest(result) -> str:
 def test_sgm_default_config(name, seed):
     r = solve(make_objective(name), default_config(name, seed=seed))
     assert digest(r) == SGM_DIGESTS[(name, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(SGM_GRADIENT_DIGESTS))
+def test_sgm_gradient_labeling(name):
+    cfg = replace(default_config(name, seed=0), labeling=LabelStrategy.GRADIENT)
+    r = solve(make_objective(name), cfg)
+    assert digest(r) == SGM_GRADIENT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(RS_DIGESTS))

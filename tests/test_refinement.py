@@ -17,7 +17,7 @@ def make_ctx(obj, budget=100_000, seed=0, sense=Sense.MIN):
 
 def outcome_for(obj, tf=2, seed=0, budget=100_000):
     ctx = make_ctx(obj, budget=budget, seed=seed)
-    cfg = SgmConfig(tf_rounds=tf, mutation_rate=0.0)
+    cfg = SgmConfig(tf_rounds=tf)
     return run_phase1(obj, cfg, ctx), ctx
 
 

@@ -6,7 +6,7 @@ from sgmopt.core import (BoxDomain, EvalContext, EvalCounter, LabelStrategy,
 from sgmopt.subdivision import (best_neighbor, initial_cell,
                                 is_completely_labeled, label_by_direction,
                                 label_by_gradient, label_vertex, neighborhood,
-                                run_phase1, subdivide)
+                                run_phase1)
 from sgmopt.testbed import make_objective
 
 
@@ -24,9 +24,9 @@ class TestInitialCell:
         corners = {tuple(cell.corner(i)) for i in range(4)}
         assert corners == {(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)}
 
-    def test_3d_corner_count(self):
+    def test_3d_corners(self):
         cell = initial_cell(box(-5.12, 5.12, n=3))
-        assert cell.corner_count == 8
+        assert 2 ** cell.dim == 8
         assert len({tuple(cell.corner(i)) for i in range(8)}) == 8
 
     def test_1d(self):
@@ -116,7 +116,7 @@ class TestLabelVertex:
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
         cell = initial_cell(obj.domain)
-        cfg = SgmConfig(mutation_rate=0.0)
+        cfg = SgmConfig()
         got = {}
         for i in range(4):
             v = label_vertex(ctx, cell, i, cfg)
@@ -130,7 +130,7 @@ class TestLabelVertex:
         ctx = make_ctx(obj)
         cell = initial_cell(obj.domain).subdivide()[0].subdivide()[7]
         # cell whose upper corner is the origin
-        idx = cell.corner_count - 1
+        idx = 2 ** cell.dim - 1
         assert tuple(cell.corner(idx)) == (0.0, 0.0, 0.0)
         v = label_vertex(ctx, cell, idx, cfg)
         assert v.label == 0
@@ -139,7 +139,7 @@ class TestLabelVertex:
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
         cell = initial_cell(obj.domain)
-        v = label_vertex(ctx, cell, 0, SgmConfig(mutation_rate=0.0))
+        v = label_vertex(ctx, cell, 0, SgmConfig())
         assert v.value == obj.fn(np.asarray(v.point))
 
 
@@ -161,19 +161,19 @@ class TestCompletelyLabeled:
 class TestSubdivide:
     def test_children_introduce_midpoint(self):
         cell = initial_cell(box(-1, 1))
-        kids = subdivide(cell)
+        kids = cell.subdivide()
         assert len(kids) == 4
         assert all(tuple(k.step) == (1.0, 1.0) for k in kids)
         corner_pts = {tuple(k.corner(i)) for k in kids for i in range(4)}
         assert (0.0, 0.0) in corner_pts
 
     def test_3d_count(self):
-        assert len(subdivide(initial_cell(box(0, 1, n=3)))) == 8
+        assert len(initial_cell(box(0, 1, n=3)).subdivide()) == 8
 
     def test_exact_halving(self):
         cell = initial_cell(box(-1, 1, n=1))
         for _ in range(2):
-            cell = subdivide(cell)[0]
+            cell = cell.subdivide()[0]
         assert cell.step[0] == 0.5
 
     def test_step_exact_to_level_40(self):
@@ -190,14 +190,14 @@ class TestSubdivide:
         for _ in range(5):
             cell = cell.subdivide()[3]
         from sgmopt.subdivision import grid_point
-        for i in range(cell.corner_count):
+        for i in range(2 ** cell.dim):
             rel = cell.corner_rel(i)
             reconstructed = grid_point(cell.lo, rel, cell.step)
             assert np.array_equal(reconstructed, cell.corner(i))
 
     def test_children_tile_parent(self):
         cell = initial_cell(box(0, 4))
-        kids = subdivide(cell)
+        kids = cell.subdivide()
         bases = {tuple(k.base) for k in kids}
         assert bases == {(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)}
 
@@ -205,7 +205,7 @@ class TestSubdivide:
 class TestRunPhase1:
     def test_tf0_returns_initial_cell(self):
         obj = make_objective("TP1", bounds=1.0)
-        cfg = SgmConfig(tf_rounds=0, mutation_rate=0.0)
+        cfg = SgmConfig(tf_rounds=0)
         out = run_phase1(obj, cfg, make_ctx(obj))
         assert out.rounds_completed == 0
         assert out.cell.level == 0
@@ -213,7 +213,7 @@ class TestRunPhase1:
 
     def test_tp1_one_round(self):
         obj = make_objective("TP1", bounds=1.0)
-        cfg = SgmConfig(tf_rounds=1, mutation_rate=0.0)
+        cfg = SgmConfig(tf_rounds=1)
         out = run_phase1(obj, cfg, make_ctx(obj))
         # level-0 labels were complete, and the selected child has the
         # introduced midpoint (0, 0) as a vertex
@@ -224,7 +224,7 @@ class TestRunPhase1:
 
     def test_f1_selected_cell_straddles_origin(self):
         obj = make_objective("F1")
-        cfg = SgmConfig(tf_rounds=2, mutation_rate=0.0)
+        cfg = SgmConfig(tf_rounds=2)
         out = run_phase1(obj, cfg, make_ctx(obj))
         assert out.cell.contains_point(np.zeros(3))
         assert out.complete
@@ -232,11 +232,11 @@ class TestRunPhase1:
         # independent check: label every level-2 cell of the zoom lineage
         # and confirm the one run_phase1 picked is the first complete one
         ctx = make_ctx(obj, seed=99)
-        cfg2 = SgmConfig(tf_rounds=0, mutation_rate=0.0)
+        cfg2 = SgmConfig(tf_rounds=0)
         level0 = initial_cell(obj.domain)
 
         def labels_of(cell, ctx):
-            return [label_vertex(ctx, cell, i, cfg2) for i in range(cell.corner_count)]
+            return [label_vertex(ctx, cell, i, cfg2) for i in range(2 ** cell.dim)]
 
         def first_complete(cells, ctx):
             all_labeled = [labels_of(c, ctx) for c in cells]
@@ -254,13 +254,13 @@ class TestRunPhase1:
     def test_shrinkage(self):
         obj = make_objective("TP1", bounds=1.0)
         for tf in (1, 2, 3):
-            out = run_phase1(obj, SgmConfig(tf_rounds=tf, mutation_rate=0.0),
+            out = run_phase1(obj, SgmConfig(tf_rounds=tf),
                              make_ctx(obj))
             assert np.allclose(out.cell.step, 2.0 / 2 ** tf)
 
     def test_determinism(self):
         obj = make_objective("F2")
-        cfg = SgmConfig(tf_rounds=2, mutation_rate=0.5, seed=4)
+        cfg = SgmConfig(tf_rounds=2, seed=4)
         out1 = run_phase1(obj, cfg, make_ctx(obj, seed=4))
         out2 = run_phase1(obj, cfg, make_ctx(obj, seed=4))
         assert tuple(out1.cell.base) == tuple(out2.cell.base)
@@ -270,7 +270,7 @@ class TestRunPhase1:
 
     def test_budget_exhaustion_graceful(self):
         obj = make_objective("F3")
-        cfg = SgmConfig(tf_rounds=2, mutation_rate=0.0)
+        cfg = SgmConfig(tf_rounds=2)
         ctx = make_ctx(obj, budget=50)
         out = run_phase1(obj, cfg, ctx)
         assert not out.complete
@@ -279,13 +279,13 @@ class TestRunPhase1:
     def test_trace_sink_called_per_round(self):
         obj = make_objective("TP1", bounds=1.0)
         rounds = []
-        run_phase1(obj, SgmConfig(tf_rounds=2, mutation_rate=0.0),
+        run_phase1(obj, SgmConfig(tf_rounds=2),
                    make_ctx(obj), trace_sink=lambda r, cells, labeled: rounds.append(r))
         assert rounds == [0, 1, 2]
 
     def test_high_dimensional_zoom(self):
         obj = make_objective("F4")
-        cfg = SgmConfig(tf_rounds=2, mutation_rate=0.0, eval_budget=60_000)
+        cfg = SgmConfig(tf_rounds=2, eval_budget=60_000)
         ctx = make_ctx(obj, budget=60_000, seed=3)
         out = run_phase1(obj, cfg, ctx)
         assert out.cell.level == 2
