@@ -6,10 +6,12 @@ results, recorded in CHANGES.md."""
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from sgmopt import (LabelStrategy, RngStream, SaConfig, default_config,
-                    make_objective, random_search, simulated_annealing, solve)
+from sgmopt import (BoxDomain, LabelStrategy, Objective, RngStream, SaConfig,
+                    SgmConfig, default_config, make_objective, random_search,
+                    simulated_annealing, solve)
 
 SGM_DIGESTS = {
     ("TP1", 0): "ed27aea4ec9349d06862c17417849b2cf189d1bfb634b44d490f3ca3269e054a",
@@ -35,6 +37,18 @@ RS_DIGESTS = {
     "F5": "e85005ab229ceaf693ceb9b59e639d4c68996bc00c04302c05c275fe1d013acb",
 }
 
+# Shifted spheres, seed 0, 5,000 evaluations: n=6 labels with the full
+# 728-offset Moore set, n=12 with the capped set plus the center hint, and
+# n=16 also follows child_containing instead of enumerating children.
+SPHERE_DIGESTS = {
+    6: "6ab9d931c378eb67787f6edef88799117baf7b16a272196ec73905e63744c86c",
+    12: "23d97e9599472443f62cb24954e00445988abebd080f4e8ce478d2232f6a9fd8",
+    16: "8451cc06243c2362942b2d450c10f3faaf24d1bd65d048d284110699b3878b5f",
+}
+
+# 10,000 draws cross random search's 4,096-row block boundary twice.
+RS_LONG_DIGEST = "288d581b24ad9ad57b79169a5d14c40c978656de1015267d86f932631902c337"
+
 SA_DIGESTS = {
     "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
     "F4": "19ecbcfaef987abe62dcdeddd67216dfce74e60a789e147243404bea747498c8",
@@ -59,10 +73,28 @@ def test_sgm_gradient_labeling(name):
     assert digest(r) == SGM_GRADIENT_DIGESTS[name]
 
 
+def shifted_sphere(n: int) -> Objective:
+    shift = np.random.default_rng(20130).uniform(-5.12, 5.12, n)
+    lo = np.full(n, -5.12)
+    return Objective(name=f"SPHERE{n}", dim=n, domain=BoxDomain(lo, -lo),
+                     fn=lambda p: float(np.sum((p - shift) ** 2)))
+
+
+@pytest.mark.parametrize("n", sorted(SPHERE_DIGESTS))
+def test_sgm_shifted_sphere(n):
+    r = solve(shifted_sphere(n), SgmConfig(eval_budget=5000, seed=0))
+    assert digest(r) == SPHERE_DIGESTS[n]
+
+
 @pytest.mark.parametrize("name", sorted(RS_DIGESTS))
 def test_random_search(name):
     r = random_search(make_objective(name), 2000, RngStream(3, 1))
     assert digest(r) == RS_DIGESTS[name]
+
+
+def test_random_search_across_blocks():
+    r = random_search(make_objective("F1"), 10_000, RngStream(3, 1))
+    assert digest(r) == RS_LONG_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(SA_DIGESTS))
