@@ -44,6 +44,22 @@ def rslmga_row() -> tuple:
     return _REFERENCE_ROWS[5].gens
 
 
+RS_BLOCK = 4096
+
+
+def _uniform_points(obj: Objective, budget: int, rng: RngStream):
+    """``budget`` uniform points over the box, in draw order: blocks of up
+    to RS_BLOCK rows (the same numbers as one draw per point), or one draw
+    at a time for stochastic objectives, whose fn shares the rng."""
+    lo, hi = obj.domain.lo, obj.domain.hi
+    if obj.stochastic:
+        for _ in range(budget):
+            yield rng.uniform(lo, hi)
+        return
+    for start in range(0, budget, RS_BLOCK):
+        yield from rng.uniform(lo, hi, size=(min(RS_BLOCK, budget - start), obj.dim))
+
+
 def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     """Uniform sampling over the box; returns the best of ``budget`` draws."""
     if budget < 1:
@@ -53,8 +69,7 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     best_x = None
     best_v = None
     trace = []
-    for i in range(budget):
-        x = rng.uniform(obj.domain.lo, obj.domain.hi)
+    for i, x in enumerate(_uniform_points(obj, budget, rng)):
         v = counted_eval(obj, x, counter, rng)
         if best_v is None or better(v, best_v, Sense.MIN):
             best_x, best_v = x, v

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import statistics
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -129,14 +130,15 @@ def parse_spec_file(path) -> ExperimentSpec:
     Recognized keys: functions, algorithms (comma-separated lists), trials,
     master_seed, outputs, emit_svg, workers, record_timing, rs_budget,
     sa_t0, sa_cooling, sa_steps, sa_scale, and per-function overrides of the
-    form ``F2.tf = 3`` (keys: those of ``OVERRIDES``).
+    form ``F2.tf = 3`` (keys: those of ``OVERRIDES``).  A ``#`` at the
+    start of a line or after whitespace begins a comment.
     """
     spec_kwargs: Dict = {}
     overrides: Dict[str, dict] = {}
     sa_kwargs: Dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        line = re.sub(r"(^|\s)#.*", "", line).strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")

@@ -89,7 +89,7 @@ def contains(box: BoxDomain, p) -> bool:
     p = np.asarray(p, dtype=float)
     if p.size != box.dim:
         raise ValueError(f"point dim {p.size} != box dim {box.dim}")
-    return bool(np.all(p >= box.lo) and np.all(p <= box.hi))
+    return bool((p >= box.lo).all() and (p <= box.hi).all())
 
 
 def clamp(box: BoxDomain, p) -> np.ndarray:
@@ -317,6 +317,26 @@ class EvalContext:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        return self._evaluate(p, key)
+
+    def values(self, P) -> list:
+        """``value`` of each row of the (m, n) batch ``P``, in row order.
+
+        Every row ticks the counter, fills the cache and updates the best
+        point exactly as a ``value`` call would, so a budget running out
+        mid-batch raises BudgetExceeded at the same row with the same state.
+        """
+        P = np.asarray(P, dtype=float)
+        cache = self._cache
+        out = []
+        for p, row in zip(P, P.tolist()):
+            key = tuple(row)
+            hit = cache.get(key)
+            out.append(hit if hit is not None else self._evaluate(p, key))
+        return out
+
+    def _evaluate(self, p: np.ndarray, key: tuple) -> float:
+        """Cache miss: tick, evaluate, cache, and track the best point."""
         self.counter.tick()
         if self.obj.stochastic:
             v = float(self.obj.noise_free_fn(p)) + self._noise_offset

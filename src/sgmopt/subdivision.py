@@ -14,6 +14,7 @@ from integer grid coordinates with one fixed expression.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List
@@ -21,7 +22,9 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   RefinementLimit, Sense, SgmConfig, better, contains)
+                   RefinementLimit, Sense, SgmConfig, better)
+# Unused here, but perfbench/trace.py wraps subdivision.contains.
+from .core import contains  # noqa: F401
 from . import testbed
 
 # Full Moore neighborhoods / corner enumerations are exponential in the
@@ -148,43 +151,46 @@ def initial_cell(box: BoxDomain) -> GridCell:
     return GridCell(box.lo.copy(), box.extent.copy(), 0, tuple([0] * box.dim))
 
 
-def neighborhood(p, h, box: BoxDomain, center_hint=None) -> List[np.ndarray]:
-    """Moore neighborhood of p at per-axis steps h, clipped to the box.
+@functools.lru_cache(maxsize=None)
+def moore_offsets(n: int) -> np.ndarray:
+    """Read-only Moore offset rows for dimension n, before any center hint.
 
-    Offsets run over {-h, 0, +h}^n minus the zero offset, in lexicographic
-    order over the sign patterns (- before 0 before +).  Above
-    MOORE_FULL_MAX_DIM dimensions the set is capped to the per-axis single
-    steps, both full diagonals, and the diagonal toward ``center_hint``.
+    Up to MOORE_FULL_MAX_DIM this is {-1, 0, 1}^n minus the zero row, in
+    lexicographic order (- before 0 before +); above it, -e_1, +e_1, ...,
+    -e_n, +e_n, then the all -1 and all +1 diagonals.  Zero entries must
+    be +0.0: p + (-0.0 * h) would keep the sign of a -0.0 coordinate.
+    """
+    if n <= MOORE_FULL_MAX_DIM:
+        full = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+        off = full[full.any(axis=1)]
+    else:
+        off = np.zeros((2 * n + 2, n))
+        axes = np.arange(n)
+        off[2 * axes, axes] = -1.0
+        off[2 * axes + 1, axes] = 1.0
+        off[-2] = -1.0
+        off[-1] = 1.0
+    off.flags.writeable = False
+    return off
+
+
+def neighborhood(p, h, box: BoxDomain, center_hint=None) -> np.ndarray:
+    """Moore neighborhood of p at per-axis steps h, clipped to the box, as
+    an (m, n) array of the feasible rows of ``p + moore_offsets(n) * h``.
+
+    Above MOORE_FULL_MAX_DIM dimensions the capped offset set gets one more
+    row, the diagonal toward ``center_hint``, unless that is zero or one of
+    the two full diagonals.
     """
     p = np.asarray(p, dtype=float)
     h = np.asarray(h, dtype=float)
-    n = p.size
-    pts = []
-    if n <= MOORE_FULL_MAX_DIM:
-        for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=n):
-            if not any(pattern):
-                continue
-            q = p + np.array(pattern) * h
-            if contains(box, q):
-                pts.append(q)
-        return pts
-    patterns = []
-    for i in range(n):
-        for s in (-1.0, 1.0):
-            pat = np.zeros(n)
-            pat[i] = s
-            patterns.append(pat)
-    patterns.append(-np.ones(n))
-    patterns.append(np.ones(n))
-    if center_hint is not None:
+    offsets = moore_offsets(p.size)
+    if p.size > MOORE_FULL_MAX_DIM and center_hint is not None:
         inward = np.sign(np.asarray(center_hint, dtype=float) - p)
-        if np.any(inward) and not (np.all(inward == 1.0) or np.all(inward == -1.0)):
-            patterns.append(inward)
-    for pat in patterns:
-        q = p + pat * h
-        if contains(box, q):
-            pts.append(q)
-    return pts
+        if inward.any() and not ((inward == 1.0).all() or (inward == -1.0).all()):
+            offsets = np.vstack([offsets, inward])
+    Q = p + offsets * h
+    return Q[((Q >= box.lo) & (Q <= box.hi)).all(axis=1)]
 
 
 def best_neighbor(ctx: EvalContext, p, h, center_hint=None):
@@ -194,13 +200,13 @@ def best_neighbor(ctx: EvalContext, p, h, center_hint=None):
     every neighbor (p wins ties, neighbor ties go to enumeration order).
     """
     p = np.asarray(p, dtype=float)
-    best_p = p
-    best_v = ctx.value(p)
-    for q in neighborhood(p, h, ctx.obj.domain, center_hint):
-        v = ctx.value(q)
-        if better(v, best_v, ctx.sense):
-            best_p, best_v = q, v
-    return best_p, best_p - p
+    P = np.vstack([p, neighborhood(p, h, ctx.obj.domain, center_hint)])
+    vals = ctx.values(P)
+    best = 0
+    for i in range(1, len(vals)):
+        if better(vals[i], vals[best], ctx.sense):
+            best = i
+    return P[best], P[best] - p
 
 
 def label_by_direction(d) -> int:

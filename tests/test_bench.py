@@ -54,6 +54,32 @@ sa_t0 = 5.0
         assert spec.overrides == {"F2": {"tf": 3, "budget": 5000}}
         assert spec.sa.t0 == 5.0
 
+    def test_trailing_comments_stripped(self, tmp_path):
+        # the README's spec example before its comments moved to own lines
+        text = """
+functions = F1, F2, F5
+algorithms = SGM, RS, SA
+trials = 50
+master_seed = 2024
+outputs = results/
+emit_svg = true
+workers = 4
+F5.tf = 8          # per-function overrides: tf, mr, rms, trm, tc,
+F5.budget = 30000  # budget, labeling
+"""
+        p = tmp_path / "readme.txt"
+        p.write_text(text)
+        spec = parse_spec_file(p)
+        assert spec.functions == ("F1", "F2", "F5")
+        assert spec.outputs == "results/"
+        assert spec.workers == 4
+        assert spec.overrides == {"F5": {"tf": 8, "budget": 30000}}
+
+    def test_hash_inside_a_value_kept(self, tmp_path):
+        p = tmp_path / "hash.txt"
+        p.write_text("functions = F1\noutputs = runs#2/\t# where reports go\n")
+        assert parse_spec_file(p).outputs == "runs#2/"
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("functions = F1\nbogus = 3\n")

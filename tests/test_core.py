@@ -175,6 +175,71 @@ class TestEvalContext:
         assert ctx2.value(a) != v_epoch0
 
 
+def ctx_state(ctx):
+    return (ctx.counter.count, dict(ctx._cache), repr(ctx.best_point), ctx.best_value)
+
+
+class TestEvalContextValues:
+    """``values(P)`` must equal successive ``value`` calls row by row."""
+
+    @staticmethod
+    def batch(n, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-1.0, 1.0, size=(12, n))
+        P[3] = P[1]          # repeats hit the cache within the batch
+        P[7] = 0.0
+        P[8] = -0.0          # same cache key as the +0.0 row
+        P[11] = P[0]
+        return P
+
+    def run_both(self, obj, P, budget, epochs=0, warm=None):
+        ctxs = [EvalContext(obj, EvalCounter(budget), RngStream(5), Sense.MIN)
+                for _ in range(2)]
+        for ctx in ctxs:
+            for _ in range(epochs):
+                ctx.new_epoch()
+            if warm is not None:
+                ctx.value(warm)
+        got, want = [], []
+        raised = []
+        try:
+            got.extend(ctxs[0].values(P))
+        except BudgetExceeded:
+            raised.append("values")
+        try:
+            for p in P:
+                want.append(ctxs[1].value(p))
+        except BudgetExceeded:
+            raised.append("value")
+        return ctxs, got, want, raised
+
+    def test_matches_value_calls(self):
+        obj = make_objective("F1")
+        P = self.batch(3, 0)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, warm=P[5])
+        assert raised == []
+        assert got == want
+        assert ctx_state(a) == ctx_state(b)
+        assert a.counter.count == 9
+
+    def test_budget_runs_out_mid_batch(self):
+        obj = make_objective("F1")
+        P = self.batch(3, 1)
+        (a, b), got, want, raised = self.run_both(obj, P, 6)
+        assert raised == ["values", "value"]
+        assert got == []
+        assert a.counter.count == b.counter.count == 6
+        assert ctx_state(a) == ctx_state(b)
+
+    def test_stochastic_epoch(self):
+        obj = make_objective("F4")
+        P = self.batch(30, 2)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, epochs=2)
+        assert raised == []
+        assert got == want
+        assert ctx_state(a) == ctx_state(b)
+
+
 class TestDeviation:
     def test_max_norm(self):
         sd, vec = deviation((1.0, 2.0), ((0.0, 0.0), 0.0))

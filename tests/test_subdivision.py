@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sgmopt.core import (BoxDomain, EvalContext, EvalCounter, LabelStrategy,
-                         RefinementLimit, RngStream, Sense, SgmConfig)
-from sgmopt.subdivision import (best_neighbor, initial_cell,
+                         Objective, RefinementLimit, RngStream, Sense,
+                         SgmConfig, contains)
+from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, best_neighbor, initial_cell,
                                 is_completely_labeled, label_by_direction,
                                 label_by_gradient, label_vertex, neighborhood,
                                 run_phase1)
@@ -63,6 +66,51 @@ class TestNeighborhood:
         assert any(np.allclose(q, 0.0) for q in pts)
 
 
+def reference_neighborhood(p, h, box, center_hint=None):
+    """One offset pattern at a time: the construction the batched
+    ``neighborhood`` must reproduce bit for bit and in order."""
+    n = p.size
+    if n <= MOORE_FULL_MAX_DIM:
+        patterns = [np.array(pat) for pat in itertools.product((-1.0, 0.0, 1.0), repeat=n)
+                    if any(pat)]
+    else:
+        patterns = []
+        for i in range(n):
+            for s in (-1.0, 1.0):
+                pat = np.zeros(n)
+                pat[i] = s
+                patterns.append(pat)
+        patterns += [-np.ones(n), np.ones(n)]
+        if center_hint is not None:
+            inward = np.sign(np.asarray(center_hint, dtype=float) - p)
+            if np.any(inward) and not (np.all(inward == 1.0) or np.all(inward == -1.0)):
+                patterns.append(inward)
+    return [q for q in (p + pat * h for pat in patterns) if contains(box, q)]
+
+
+def neighborhood_cases(n):
+    """(p, h, box, center_hint) on and inside the box, with -0.0 coordinates."""
+    lo, hi = np.full(n, -2.0), np.full(n, 3.0)
+    lo[0] = -1.5
+    b = BoxDomain(lo, hi)
+    h = (hi - lo) / 4
+    mixed = np.where(np.arange(n) % 2 == 0, lo, hi)
+    signed_zero = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+    inner = lo + h * (np.arange(1, n + 1) % 4)
+    points = (lo, hi, mixed, signed_zero, inner, np.where(mixed == lo, inner, -0.0))
+    hints = (None, 0.5 * (lo + hi), inner, signed_zero, lo)
+    return [(p, h, b, c) for p in points for c in hints]
+
+
+class TestNeighborhoodMatchesReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_in_order(self, n):
+        for p, h, b, hint in neighborhood_cases(n):
+            got = neighborhood(p, h, b, center_hint=hint)
+            want = reference_neighborhood(p, h, b, center_hint=hint)
+            assert [repr(q.tolist()) for q in got] == [repr(q.tolist()) for q in want]
+
+
 class TestBestNeighbor:
     def test_tp1_corner_maps_to_origin(self):
         obj = make_objective("TP1", bounds=1.0)
@@ -81,6 +129,17 @@ class TestBestNeighbor:
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
         _, d = best_neighbor(ctx, np.array([1.0, 1.0]), np.ones(2))
+        assert tuple(d) == (-1.0, -1.0)
+
+    def test_point_wins_ties(self):
+        ctx = make_ctx(Objective("FLAT", 2, box(-2, 2), lambda p: 1.0))
+        _, d = best_neighbor(ctx, np.array([1.0, 1.0]), np.ones(2))
+        assert tuple(d) == (0.0, 0.0)
+
+    def test_neighbor_ties_go_to_enumeration_order(self):
+        # -max|x_i|: all eight neighbors of 0 tie, below 0 itself
+        obj = Objective("PEAK", 2, box(-2, 2), lambda p: -float(np.max(np.abs(p))))
+        _, d = best_neighbor(make_ctx(obj), np.zeros(2), np.ones(2))
         assert tuple(d) == (-1.0, -1.0)
 
 
