@@ -317,26 +317,6 @@ class EvalContext:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        return self._evaluate(p, key)
-
-    def values(self, P) -> list:
-        """``value`` of each row of the (m, n) batch ``P``, in row order.
-
-        Every row ticks the counter, fills the cache and updates the best
-        point exactly as a ``value`` call would, so a budget running out
-        mid-batch raises BudgetExceeded at the same row with the same state.
-        """
-        P = np.asarray(P, dtype=float)
-        cache = self._cache
-        out = []
-        for p, row in zip(P, P.tolist()):
-            key = tuple(row)
-            hit = cache.get(key)
-            out.append(hit if hit is not None else self._evaluate(p, key))
-        return out
-
-    def _evaluate(self, p: np.ndarray, key: tuple) -> float:
-        """Cache miss: tick, evaluate, cache, and track the best point."""
         self.counter.tick()
         if self.obj.stochastic:
             v = float(self.obj.noise_free_fn(p)) + self._noise_offset
@@ -347,6 +327,21 @@ class EvalContext:
             self.best_value = v
             self.best_point = p.copy()
         return v
+
+    def values(self, P) -> list:
+        """``value`` of each row of the (m, n) batch ``P``, in row order.
+
+        Cache hits are looked up here, with keys from one ``P.tolist()``;
+        each miss goes through ``value``, so a budget running out mid-batch
+        raises BudgetExceeded at the same row with the same state.
+        """
+        P = np.asarray(P, dtype=float)
+        cache = self._cache
+        out = []
+        for p, row in zip(P, P.tolist()):
+            hit = cache.get(tuple(row))
+            out.append(hit if hit is not None else self.value(p))
+        return out
 
     def feasible(self, p) -> bool:
         return contains(self.obj.domain, p)
