@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from sgmopt import (BoxDomain, LabelStrategy, Objective, RngStream, SaConfig,
-                    SgmConfig, default_config, make_objective, random_search,
-                    simulated_annealing, solve)
+                    Sense, SgmConfig, default_config, make_objective,
+                    random_search, simulated_annealing, solve)
 
 SGM_DIGESTS = {
     ("TP1", 0): "ed27aea4ec9349d06862c17417849b2cf189d1bfb634b44d490f3ca3269e054a",
@@ -49,6 +49,27 @@ SPHERE_DIGESTS = {
 # 10,000 draws cross random search's 4,096-row block boundary twice.
 RS_LONG_DIGEST = "288d581b24ad9ad57b79169a5d14c40c978656de1015267d86f932631902c337"
 
+# Sense.MAX, seed 0: TP1's maxima lie on the box boundary, so ray sweeps
+# run into the box; the negated spheres ("bumps") have interior maxima, and
+# at n=8 phase 2 sweeps the capped direction set.
+MAX_DIGESTS = {
+    "TP1": "b4d097876ec53b5e0239817487c06362da5622fc36a68921e572613d12693900",
+    "BUMP3": "33f9f2d815c669398c013b321253cc34e65f53abe185c16d7c578833a7676bdb",
+    "BUMP8": "c4692d32e0af7ad5dddbc54f5b01048ab7d554111afac25735c2991449fccf00",
+}
+
+# TP1 with trm_max=3, tc_max=1: the rotation cap is reached inside a
+# rotational sweep, with candidates of that sweep still untried.
+TIGHT_CAP_DIGEST = "aef8d30a4a17a705551fae42de0d14bc2ab6164885295327a3622c06437d1640"
+
+# BEALE, generic config: at 300 evaluations the budget runs out inside a
+# ray sweep (after a rotational sweep stopped at its cap), at 190 inside a
+# rotational sweep.
+BUDGET_OUT_DIGESTS = {
+    300: "1a5827cd06500d011c85d67bb4907334d492ac9084f64b85ef664e1cc2f11d91",
+    190: "818a39a287d4a04930117b79894c141e4cef7864d34ff19284cadad44222f6a3",
+}
+
 SA_DIGESTS = {
     "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
     "F4": "19ecbcfaef987abe62dcdeddd67216dfce74e60a789e147243404bea747498c8",
@@ -84,6 +105,37 @@ def shifted_sphere(n: int) -> Objective:
 def test_sgm_shifted_sphere(n):
     r = solve(shifted_sphere(n), SgmConfig(eval_budget=5000, seed=0))
     assert digest(r) == SPHERE_DIGESTS[n]
+
+
+def bump(n: int) -> Objective:
+    peak = np.random.default_rng(20131).uniform(-4.0, 4.0, n)
+    lo = np.full(n, -5.12)
+    return Objective(name=f"BUMP{n}", dim=n, domain=BoxDomain(lo, -lo),
+                     fn=lambda p: -float(np.sum((p - peak) ** 2)))
+
+
+@pytest.mark.parametrize("name", sorted(MAX_DIGESTS))
+def test_sgm_max_sense(name):
+    if name == "TP1":
+        obj, cfg = make_objective(name), default_config(name, seed=0)
+    elif name == "BUMP3":
+        obj, cfg = bump(3), SgmConfig()
+    else:
+        obj, cfg = bump(8), SgmConfig(tf_rounds=0, eval_budget=20_000)
+    r = solve(obj, replace(cfg, sense=Sense.MAX))
+    assert digest(r) == MAX_DIGESTS[name]
+
+
+def test_sgm_rotation_cap_mid_sweep():
+    cfg = replace(default_config("TP1", seed=0), trm_max=3, tc_max=1)
+    assert digest(solve(make_objective("TP1"), cfg)) == TIGHT_CAP_DIGEST
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGET_OUT_DIGESTS))
+def test_sgm_budget_out_in_phase2(budget):
+    r = solve(make_objective("BEALE"), SgmConfig(eval_budget=budget))
+    assert r.evaluations == budget
+    assert digest(r) == BUDGET_OUT_DIGESTS[budget]
 
 
 @pytest.mark.parametrize("name", sorted(RS_DIGESTS))
