@@ -4,8 +4,8 @@ solvers, and benchmark harness."""
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                    GradientUnavailable, LabelStrategy, Objective,
-                   RefinementLimit, RngStream, RunResult, Sense, SgmConfig,
-                   clamp, contains, counted_eval)
+                   ObjectiveError, RefinementLimit, RngStream, RunResult,
+                   Sense, SgmConfig, clamp, contains, counted_eval)
 from .testbed import foxholes_matrix, gradient, make_objective
 from .engine import default_config, solve
 from .baselines import SaConfig, random_search, reference_table, simulated_annealing
@@ -13,10 +13,10 @@ from .bench import ExperimentSpec, Report, png_ratio, run_experiment
 
 __all__ = [
     "BoxDomain", "BudgetExceeded", "EvalContext", "EvalCounter",
-    "GradientUnavailable", "LabelStrategy", "Objective", "RefinementLimit",
-    "RngStream", "RunResult", "Sense", "SgmConfig", "clamp", "contains",
-    "counted_eval", "foxholes_matrix", "gradient", "make_objective",
-    "default_config", "solve", "SaConfig", "random_search",
+    "GradientUnavailable", "LabelStrategy", "Objective", "ObjectiveError",
+    "RefinementLimit", "RngStream", "RunResult", "Sense", "SgmConfig",
+    "clamp", "contains", "counted_eval", "foxholes_matrix", "gradient",
+    "make_objective", "default_config", "solve", "SaConfig", "random_search",
     "reference_table", "simulated_annealing", "ExperimentSpec", "Report",
     "png_ratio", "run_experiment",
 ]

@@ -34,6 +34,17 @@ class RefinementLimit(Exception):
     """Raised when a grid cell would be halved past the exactness limit."""
 
 
+class ObjectiveError(RuntimeError):
+    """The objective raised; the original exception is the ``__cause__``.
+
+    ``partial`` is the RunResult of the best point evaluated before the
+    failure, set by ``engine.solve`` (None elsewhere, or when no evaluation
+    had succeeded yet).
+    """
+
+    partial = None
+
+
 class Sense(enum.Enum):
     MIN = "min"
     MAX = "max"
@@ -90,6 +101,11 @@ def contains(box: BoxDomain, p) -> bool:
     if p.size != box.dim:
         raise ValueError(f"point dim {p.size} != box dim {box.dim}")
     return bool((p >= box.lo).all() and (p <= box.hi).all())
+
+
+def box_mask(box: BoxDomain, P) -> np.ndarray:
+    """Closed-box membership of each row of the (m, n) batch ``P``."""
+    return ((P >= box.lo) & (P <= box.hi)).all(axis=1)
 
 
 def clamp(box: BoxDomain, p) -> np.ndarray:
@@ -318,30 +334,37 @@ class EvalContext:
         if hit is not None:
             return hit
         self.counter.tick()
-        if self.obj.stochastic:
-            v = float(self.obj.noise_free_fn(p)) + self._noise_offset
-        else:
-            v = float(self.obj.fn(p))
+        try:
+            if self.obj.stochastic:
+                v = float(self.obj.noise_free_fn(p)) + self._noise_offset
+            else:
+                v = float(self.obj.fn(p))
+        except Exception as exc:
+            raise ObjectiveError(f"{self.obj.name} raised at {p.tolist()}: {exc!r}") from exc
         self._cache[key] = v
         if self.best_value is None or better(v, self.best_value, self.sense):
             self.best_value = v
             self.best_point = p.copy()
         return v
 
-    def values(self, P) -> list:
-        """``value`` of each row of the (m, n) batch ``P``, in row order.
+    def iter_values(self, P):
+        """Yield ``value`` of each row of the (m, n) batch ``P``, in row
+        order, evaluating a row only when the caller asks for it.
 
         Cache hits are looked up here, with keys from one ``P.tolist()``;
         each miss goes through ``value``, so a budget running out mid-batch
-        raises BudgetExceeded at the same row with the same state.
+        raises BudgetExceeded at the same row with the same state, and a
+        caller that stops early leaves the later rows unevaluated.
         """
         P = np.asarray(P, dtype=float)
         cache = self._cache
-        out = []
         for p, row in zip(P, P.tolist()):
             hit = cache.get(tuple(row))
-            out.append(hit if hit is not None else self.value(p))
-        return out
+            yield hit if hit is not None else self.value(p)
+
+    def values(self, P) -> list:
+        """``value`` of every row of the (m, n) batch ``P``, in row order."""
+        return list(self.iter_values(P))
 
     def feasible(self, p) -> bool:
         return contains(self.obj.domain, p)

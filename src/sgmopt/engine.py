@@ -6,8 +6,8 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .core import (EvalContext, EvalCounter, Objective, RngStream, RunResult,
-                   SgmConfig, better, deviation)
+from .core import (EvalContext, EvalCounter, Objective, ObjectiveError,
+                   RngStream, RunResult, SgmConfig, better, deviation)
 from .refinement import run_phase2
 from .subdivision import run_phase1
 
@@ -38,6 +38,11 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
     geometric search settled on) with its latest evaluation, because the
     minimum over noisy draws identifies the luckiest noise sample rather
     than a good point.
+
+    An exception from the objective is re-raised as ObjectiveError, chained
+    from the original, whose ``partial`` reports the best point evaluated
+    before it (with every evaluation made, the failed one included, and no
+    trace or generations); ``partial`` is None when no evaluation succeeded.
     """
     config.validate(obj)
     t0 = time.perf_counter()
@@ -45,18 +50,30 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
         rng = RngStream(config.seed)
     counter = EvalCounter(config.eval_budget)
     ctx = EvalContext(obj, counter, rng, config.sense)
-    outcome = run_phase1(obj, config, ctx, trace_sink=phase1_sink)
-    trace = list(outcome.trace)
-    gens = outcome.rounds_completed
-    if outcome.vertices and counter.remaining > 0:
-        state, p2_gens, p2_trace = run_phase2(
-            outcome, obj, config, ctx,
-            trace_sink=phase2_sink, trace_offset=len(trace) - 1)
-        gens += p2_gens
-        trace.extend(p2_trace)
-        final_point, final_value = state.s, state.s_value
-    else:
-        final_point, final_value = ctx.best_point, ctx.best_value
+    try:
+        outcome = run_phase1(obj, config, ctx, trace_sink=phase1_sink)
+        trace = list(outcome.trace)
+        gens = outcome.rounds_completed
+        if outcome.vertices and counter.remaining > 0:
+            state, p2_gens, p2_trace = run_phase2(
+                outcome, obj, config, ctx,
+                trace_sink=phase2_sink, trace_offset=len(trace) - 1)
+            gens += p2_gens
+            trace.extend(p2_trace)
+            final_point, final_value = state.s, state.s_value
+        else:
+            final_point, final_value = ctx.best_point, ctx.best_value
+    except ObjectiveError as exc:
+        if ctx.best_point is not None:
+            best_point = tuple(float(c) for c in ctx.best_point)
+            exc.partial = RunResult(
+                best_point=best_point,
+                best_value=float(ctx.best_value),
+                evaluations=counter.count,
+                generations=0,
+                sd=deviation(best_point, obj.known_optimum)[0],
+                wallclock_ms=(time.perf_counter() - t0) * 1000.0)
+        raise
     if obj.stochastic:
         best_point = tuple(float(c) for c in final_point)
         best_value = float(final_value)

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BudgetExceeded, EvalContext, Sense, SgmConfig, better
+from .core import BudgetExceeded, EvalContext, Sense, SgmConfig, better, box_mask
 from .subdivision import GridCell, Phase1Outcome
 
 DIR_FULL_MAX_DIM = 6
@@ -88,29 +88,45 @@ def sweep_directions(n: int, s=None, center=None) -> List[tuple]:
     return out
 
 
-def ray_mutate(s, direction, alpha: float) -> np.ndarray:
+def ray_mutate(s, direction, alpha) -> np.ndarray:
     """Endpoint of the ray from s along a sign vector: every component moves
-    by alpha, so the step has max-norm alpha and Euclidean norm alpha*sqrt(n)."""
-    if alpha <= 0:
+    by alpha, so the step has max-norm alpha and Euclidean norm alpha*sqrt(n).
+
+    Broadcasts: (m, n) directions with (m, 1) lengths give m endpoints."""
+    alpha = np.asarray(alpha, dtype=float)
+    if (alpha <= 0).any():
         raise ValueError("alpha must be positive")
     return np.asarray(s, dtype=float) + alpha * np.asarray(direction, dtype=float)
 
 
+def ray_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
+              directions) -> Optional[Tuple[np.ndarray, float]]:
+    """Try rays of length 1x..10x alpha_base (times the mesh scale) along
+    each direction in turn; the first strictly better feasible endpoint
+    wins.  Endpoints outside the box are skipped without costing an
+    evaluation.  ``state.last_ray`` ends at the candidate the sweep stopped
+    on: the winner, the one the budget ran out at, or the last one."""
+    dirs = [tuple(d) for d in directions]
+    alphas = np.arange(1, 11) * config.alpha_base * state.scale
+    P = ray_mutate(state.s, np.repeat(dirs, 10, axis=0),
+                   np.tile(alphas, len(dirs))[:, None])
+    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))
+    walked = 0
+    try:
+        for v in ctx.iter_values(P[rows]):
+            if better(v, state.s_value, ctx.sense):
+                return P[rows[walked]], v
+            walked += 1
+        return None
+    finally:
+        i = rows[walked] if walked < len(rows) else len(P) - 1
+        state.last_ray = (dirs[i // 10], float(alphas[i % 10]))
+
+
 def alpha_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
                 direction) -> Optional[Tuple[np.ndarray, float]]:
-    """Try rays of length 1x..10x alpha_base (times the mesh scale) along one
-    direction; the first strictly better feasible endpoint wins.  Endpoints
-    outside the box are skipped without costing an evaluation."""
-    for m in range(1, 11):
-        alpha = m * config.alpha_base * state.scale
-        p = ray_mutate(state.s, direction, alpha)
-        state.last_ray = (tuple(direction), alpha)
-        if not ctx.feasible(p):
-            continue
-        v = ctx.value(p)
-        if better(v, state.s_value, ctx.sense):
-            return p, v
-    return None
+    """``ray_sweep`` along one direction."""
+    return ray_sweep(state, ctx, config, [direction])
 
 
 def rotational_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
@@ -118,23 +134,24 @@ def rotational_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
     """Rotate through the remaining diagonals at each beta length (times the
     mesh scale).  Every evaluated candidate counts against trm_max; the
     first strict improvement is returned."""
-    if state.rotations_used >= config.trm_max:
-        return None
+    left = config.trm_max - state.rotations_used
     skip = state.last_ray[0] if state.last_ray is not None else None
-    for beta in config.beta_sweep:
-        for e in directions:
-            if skip is not None and tuple(e) == skip:
-                continue
-            if state.rotations_used >= config.trm_max:
-                return None
-            p = ray_mutate(state.s, e, beta * state.scale)
-            if not ctx.feasible(p):
-                continue
-            v = ctx.value(p)
-            state.rotations_used += 1
+    dirs = [e for e in directions if tuple(e) != skip]
+    if left <= 0 or not dirs:
+        return None
+    betas = np.asarray(config.beta_sweep, dtype=float) * state.scale
+    P = ray_mutate(state.s, np.tile(dirs, (len(betas), 1)),
+                   np.repeat(betas, len(dirs))[:, None])
+    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:left]
+    used = 0
+    try:
+        for v in ctx.iter_values(P[rows]):
+            used += 1
             if better(v, state.s_value, ctx.sense):
-                return p, v
-    return None
+                return P[rows[used - 1]], v
+        return None
+    finally:
+        state.rotations_used += used
 
 
 def crossover_midpoint(p1, p2) -> np.ndarray:
@@ -192,11 +209,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
             state.s_value = ctx.value(state.s)
             dirs = static_dirs if static_dirs is not None else \
                 sweep_directions(n, state.s, obj.domain.center)
-            found = None
-            for d in dirs:
-                found = alpha_sweep(state, ctx, config, d)
-                if found is not None:
-                    break
+            found = ray_sweep(state, ctx, config, dirs)
             if found is None:
                 found = rotational_sweep(state, ctx, config, dirs)
             gens += 1

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   RefinementLimit, Sense, SgmConfig, better)
+                   RefinementLimit, Sense, SgmConfig, better, box_mask)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
 from . import testbed
@@ -190,7 +190,7 @@ def neighborhood(p, h, box: BoxDomain, center_hint=None) -> np.ndarray:
         if inward.any() and not ((inward == 1.0).all() or (inward == -1.0).all()):
             offsets = np.vstack([offsets, inward])
     Q = p + offsets * h
-    return Q[((Q >= box.lo) & (Q <= box.hi)).all(axis=1)]
+    return Q[box_mask(box, Q)]
 
 
 def best_neighbor(ctx: EvalContext, p, h, center_hint=None):

@@ -57,7 +57,7 @@ def grad_beale(p) -> np.ndarray:
 
 def eval_f1(p) -> float:
     x = np.asarray(p, dtype=float)
-    return float(np.sum(x * x))
+    return float((x * x).sum())
 
 
 def grad_f1(p) -> np.ndarray:
@@ -81,19 +81,19 @@ def grad_f2(p) -> np.ndarray:
 
 def eval_f3(p) -> float:
     x = np.asarray(p, dtype=float)
-    return float(30.0 + np.sum(np.floor(x)))
+    return float(30.0 + np.floor(x).sum())
 
 
 def f4_deterministic(p) -> float:
     """Noise-free part of F4: sum_i i * x_i^4."""
     x = np.asarray(p, dtype=float)
-    return float(np.sum(_F4_COEF * x ** 4))
+    return float((_F4_COEF * x ** 4).sum())
 
 
 def eval_f4(p, rng: RngStream) -> float:
     # One fresh Gauss(0,1) per term per evaluation (30 draws each call).
     x = np.asarray(p, dtype=float)
-    return float(np.sum(_F4_COEF * x ** 4 + rng.normal(size=30)))
+    return float((_F4_COEF * x ** 4 + rng.normal(size=30)).sum())
 
 
 def _load_foxholes() -> np.ndarray:
@@ -124,7 +124,7 @@ def foxholes_matrix() -> np.ndarray:
 def eval_f5(p) -> float:
     x = np.asarray(p, dtype=float)
     d = (x[0] - _FOXHOLES[0]) ** 6 + (x[1] - _FOXHOLES[1]) ** 6
-    return float(1.0 / (0.002 + np.sum(1.0 / (_F5_J + d))))
+    return float(1.0 / (0.002 + (1.0 / (_F5_J + d)).sum()))
 
 
 def finite_difference_gradient(fn, p, rel_step: float = 1e-6) -> np.ndarray:

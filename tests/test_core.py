@@ -231,6 +231,15 @@ class TestEvalContextValues:
         assert a.counter.count == b.counter.count == 6
         assert ctx_state(a) == ctx_state(b)
 
+    def test_iter_values_evaluates_on_demand(self):
+        obj = make_objective("F1")
+        P = self.batch(3, 3)
+        ctx = EvalContext(obj, EvalCounter(100), RngStream(5), Sense.MIN)
+        walk = ctx.iter_values(P)
+        first = [next(walk) for _ in range(4)]
+        assert ctx.counter.count == 3  # row 3 repeats row 1
+        assert first == [obj.fn(p) for p in P[:4]]
+
     def test_stochastic_epoch(self):
         obj = make_objective("F4")
         P = self.batch(30, 2)

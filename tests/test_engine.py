@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sgmopt.core import BoxDomain, LabelStrategy, Objective, Sense, SgmConfig
+from sgmopt.core import (BoxDomain, LabelStrategy, Objective, ObjectiveError,
+                         Sense, SgmConfig)
 from sgmopt.engine import default_config, solve
 from sgmopt.testbed import f4_deterministic, make_objective
 
@@ -113,6 +114,38 @@ class TestSolve:
         r = solve(obj, SgmConfig())
         assert r.best_value < 1e-30
         assert max(abs(c - 0.3) for c in r.best_point) < 1e-12
+
+
+    def test_raising_objective_keeps_best_point(self):
+        seen = []
+
+        def fn(x):
+            if len(seen) == 49:
+                raise ZeroDivisionError("call 50")
+            v = float(np.sum((x - 0.3) ** 2))
+            seen.append((v, tuple(float(c) for c in x)))
+            return v
+        obj = Objective(name="RAISES50", dim=2,
+                        domain=BoxDomain(np.full(2, -2.0), np.full(2, 2.0)), fn=fn)
+        with pytest.raises(ObjectiveError) as info:
+            solve(obj, SgmConfig())
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert isinstance(err.__cause__, ZeroDivisionError)
+        assert err.partial.evaluations == 50
+        assert err.partial.best_value == min(v for v, _ in seen)
+        assert (err.partial.best_value, err.partial.best_point) in seen
+        assert err.partial.sd is None and err.partial.trace == []
+
+    def test_raising_first_call_has_no_partial(self):
+        def fn(x):
+            raise ValueError("never")
+        obj = Objective(name="RAISES1", dim=1,
+                        domain=BoxDomain(np.array([0.0]), np.array([1.0])), fn=fn)
+        with pytest.raises(ObjectiveError) as info:
+            solve(obj, SgmConfig())
+        assert info.value.partial is None
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestSolveValidation:

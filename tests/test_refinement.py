@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sgmopt.core import (EvalContext, EvalCounter, RngStream, Sense, SgmConfig)
-from sgmopt.refinement import (RefineState, alpha_sweep, crossover_adjacent_sides,
-                               crossover_midpoint, diagonal_directions,
-                               ray_mutate, rotational_sweep, run_phase2,
-                               select_best_vertex, sweep_directions)
+from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
+                         Objective, RngStream, Sense, SgmConfig, better)
+from sgmopt.refinement import (DIR_FULL_MAX_DIM, RefineState, alpha_sweep,
+                               crossover_adjacent_sides, crossover_midpoint,
+                               diagonal_directions, ray_mutate, ray_sweep,
+                               rotational_sweep, run_phase2, select_best_vertex,
+                               sweep_directions)
 from sgmopt.subdivision import (LabeledVertex, Phase1Outcome, initial_cell,
                                 run_phase1)
 from sgmopt.testbed import make_objective
@@ -170,6 +172,168 @@ class TestRotationalSweep:
         cfg = SgmConfig(trm_max=7)
         rotational_sweep(state, ctx, cfg, diagonal_directions(2))
         assert state.rotations_used == 7
+
+
+def reference_ray_sweep(state, ctx, config, directions):
+    """One candidate at a time: the loop the batched ``ray_sweep`` must
+    reproduce."""
+    for d in directions:
+        for m in range(1, 11):
+            alpha = m * config.alpha_base * state.scale
+            p = ray_mutate(state.s, d, alpha)
+            state.last_ray = (tuple(d), alpha)
+            if not ctx.feasible(p):
+                continue
+            v = ctx.value(p)
+            if better(v, state.s_value, ctx.sense):
+                return p, v
+    return None
+
+
+def reference_rotational_sweep(state, ctx, config, directions):
+    """One candidate at a time, checking trm_max before each."""
+    skip = state.last_ray[0] if state.last_ray is not None else None
+    for beta in config.beta_sweep:
+        for e in directions:
+            if skip is not None and tuple(e) == skip:
+                continue
+            if state.rotations_used >= config.trm_max:
+                return None
+            p = ray_mutate(state.s, e, beta * state.scale)
+            if not ctx.feasible(p):
+                continue
+            v = ctx.value(p)
+            state.rotations_used += 1
+            if better(v, state.s_value, ctx.sense):
+                return p, v
+    return None
+
+
+def objective_in_box(n, sense, steps):
+    """A sphere, or with ``steps`` a staircase with many ties, around a
+    shifted optimum in an asymmetric box."""
+    lo, hi = np.full(n, -2.0), np.full(n, 3.0)
+    lo[0] = -1.5
+    shift = np.random.default_rng(n).uniform(lo, hi)
+    sign = 1.0 if sense is Sense.MIN else -1.0
+
+    def fn(p):
+        if steps:
+            return sign * float(np.sum(np.floor(2.0 * np.abs(p - shift))))
+        return sign * float(np.sum((p - shift) ** 2))
+    return Objective(name=f"S{n}", dim=n, domain=BoxDomain(lo, hi), fn=fn), shift
+
+
+def sweep_cases(n):
+    """(objective, sense, incumbent, scale, trm_max, budget, warm-up points):
+    incumbents on the box boundary, inside it and at the optimum (where no
+    candidate improves), caps that stop the rotational sweep mid-batch,
+    budgets that run out mid-sweep, and warm-up points that put some of
+    the sweeps' candidates in the cache beforehand."""
+    cases = []
+    for sense, steps in ((Sense.MIN, False), (Sense.MAX, False), (Sense.MIN, True)):
+        obj, shift = objective_in_box(n, sense, steps)
+        lo, hi = obj.domain.lo, obj.domain.hi
+        mixed = np.where(np.arange(n) % 2 == 0, lo, hi)
+        inner = lo + 0.3 * (hi - lo)
+        for s in (lo, hi, mixed, inner, shift):
+            d0 = np.ones(n)
+            warm = [s + 0.2 * d0, s - 0.1 * d0, s + 0.1 * d0]
+            for scale in (1.0, 0.25):
+                for trm, budget in ((50, 100_000), (3, 100_000), (0, 100_000),
+                                    (50, 5), (50, 17)):
+                    cases.append((obj, sense, s, scale, trm, budget, warm))
+    return cases
+
+
+def sweep_run(sweep, ctx, state, config, dirs):
+    """Outcome of one sweep plus every piece of state it may touch."""
+    try:
+        got = sweep(state, ctx, config, dirs)
+        out = None if got is None else (repr(got[0].tolist()), got[1])
+    except BudgetExceeded:
+        out = "budget"
+    return out, (ctx.counter.count, dict(ctx._cache), repr(ctx.best_point),
+                 ctx.best_value, state.rotations_used, state.last_ray)
+
+
+def sweep_start(obj, sense, s, scale, budget, warm, last_ray=None):
+    ctx = make_ctx(obj, budget=budget, sense=sense)
+    for p in warm:
+        if ctx.feasible(p) and ctx.counter.remaining > 1:
+            ctx.value(p)
+    s_value = ctx.value(s) if obj.stochastic else obj.fn(s)
+    state = RefineState(s=s.copy(), s_value=s_value, cell=initial_cell(obj.domain),
+                        scale=scale, last_ray=last_ray)
+    return ctx, state
+
+
+def sweep_sequences(case):
+    """The directions of one case and its sweep sequences, each as (sweeps,
+    last_ray at the start): a ray sweep and then a rotational sweep, as
+    run_phase2 runs them, and a rotational sweep alone, skipping the last
+    direction."""
+    obj, sense, s, scale, trm, budget, warm = case
+    dirs = sweep_directions(obj.dim, s, obj.domain.center)
+    return dirs, [(("ray", "rot"), None), (("rot",), (dirs[-1], 1.0))]
+
+
+BATCHED = {"ray": ray_sweep, "rot": rotational_sweep}
+REFERENCE = {"ray": reference_ray_sweep, "rot": reference_rotational_sweep}
+
+
+def run_sequence(impl, case, dirs, kinds, last_ray):
+    obj, sense, s, scale, trm, budget, warm = case
+    config = SgmConfig(sense=sense, trm_max=trm)
+    ctx, state = sweep_start(obj, sense, s, scale, budget, warm, last_ray)
+    out = []
+    for kind in kinds:
+        count = ctx.counter.count
+        out.append(sweep_run(impl[kind], ctx, state, config, dirs))
+        out[-1] += (ctx.counter.count - count,)
+    return out
+
+
+def all_cases(n):
+    if n < 30:
+        return sweep_cases(n)
+    return [(make_objective("F4"), Sense.MIN, np.full(30, 0.3), 1.0, trm, budget, [])
+            for trm, budget in ((75, 100_000), (4, 100_000), (75, 300))]
+
+
+class TestSweepsMatchReference:
+    @pytest.mark.parametrize("n", list(range(1, 9)) + [30])
+    def test_batched_equals_reference(self, n):
+        for case in all_cases(n):
+            dirs, sequences = sweep_sequences(case)
+            if n > DIR_FULL_MAX_DIM:
+                assert len(dirs) < 2 ** n
+            for kinds, last_ray in sequences:
+                got = run_sequence(BATCHED, case, dirs, kinds, last_ray)
+                want = run_sequence(REFERENCE, case, dirs, kinds, last_ray)
+                assert got == want, (n, kinds, case[1:6])
+
+    def test_cases_reach_every_stop(self):
+        """The cases stop where batching could go wrong: at an improvement,
+        at the budget, at the end of the sweep, and at the rotation cap
+        with candidates left, where cache hits counted toward trm_max."""
+        stops = set()
+        for n in (2, 7):
+            for case in sweep_cases(n):
+                trm = case[4]
+                dirs, sequences = sweep_sequences(case)
+                for kinds, last_ray in sequences:
+                    run = run_sequence(REFERENCE, case, dirs, kinds, last_ray)
+                    for kind, (out, state, evaluated) in zip(kinds, run):
+                        stops.add((kind, out if out in (None, "budget") else "better"))
+                        used = state[4]
+                        if kind == "rot" and out is None and 0 < used == trm:
+                            stops.add(("rot", "cap"))
+                            if evaluated < used:
+                                stops.add(("rot", "cap with hits"))
+        assert stops >= {("ray", "better"), ("ray", None), ("ray", "budget"),
+                         ("rot", "better"), ("rot", None), ("rot", "budget"),
+                         ("rot", "cap"), ("rot", "cap with hits")}
 
 
 class TestCrossoverMidpoint:
