@@ -70,6 +70,12 @@ BUDGET_OUT_DIGESTS = {
     190: "818a39a287d4a04930117b79894c141e4cef7864d34ff19284cadad44222f6a3",
 }
 
+# BEALE, GRADIENT labeling, seed 0, 20 evaluations: the budget runs out
+# inside a crossover batch.  Under BEST_NEIGHBOR the crossover midpoints
+# are cache hits (phase 1's Moore neighbourhoods hold every edge midpoint),
+# so only GRADIENT labeling reaches this path.
+CROSSOVER_BUDGET_OUT_DIGEST = "0ee477d8ba75444600179ead1a2ba1dee2fa3bdd6be310df46a1474f589a0a9b"
+
 SA_DIGESTS = {
     "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
     "F4": "19ecbcfaef987abe62dcdeddd67216dfce74e60a789e147243404bea747498c8",
@@ -136,6 +142,14 @@ def test_sgm_budget_out_in_phase2(budget):
     r = solve(make_objective("BEALE"), SgmConfig(eval_budget=budget))
     assert r.evaluations == budget
     assert digest(r) == BUDGET_OUT_DIGESTS[budget]
+
+
+def test_sgm_budget_out_in_crossover():
+    cfg = replace(default_config("BEALE", seed=0), labeling=LabelStrategy.GRADIENT,
+                  eval_budget=20)
+    r = solve(make_objective("BEALE"), cfg)
+    assert r.evaluations == 20
+    assert digest(r) == CROSSOVER_BUDGET_OUT_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(RS_DIGESTS))

@@ -376,6 +376,36 @@ class TestCrossoverAdjacentSides:
         # center is equidistant from all corners: corner (-1, -1) wins
         assert mids == {(0.0, -1.0), (-1.0, 0.0)}
 
+    @staticmethod
+    def per_edge_reference(cell, idx):
+        """The per-edge loop: midpoint of the corner and its neighbour
+        across each axis."""
+        corner = cell.corner(idx)
+        mids = []
+        for j in range(cell.dim):
+            other = corner.copy()
+            if (idx >> j) & 1:
+                other[j] -= cell.step[j]
+            else:
+                other[j] += cell.step[j]
+            mids.append(crossover_midpoint(corner, other))
+        return mids
+
+    def test_matches_per_edge_loop(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            lo = rng.uniform(-5.0, 0.0, size=n)
+            box = BoxDomain(lo, lo + rng.uniform(0.5, 4.0, size=n))
+            cells = [initial_cell(box)]
+            cells.append(cells[0].subdivide()[int(rng.integers(2 ** n))])
+            for cell in cells:
+                for idx in range(2 ** n):
+                    got = crossover_adjacent_sides(cell, cell.corner(idx))
+                    want = self.per_edge_reference(cell, idx)
+                    assert len(got) == n
+                    assert [repr(m.tolist()) for m in got] == \
+                        [repr(m.tolist()) for m in want]
+
 
 class TestRunPhase2:
     def test_tp1_reaches_origin(self):
