@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BudgetExceeded, EvalCounter, Objective, RngStream,
-                   RunResult, Sense, better, clamp, counted_eval, deviation)
+                   RunResult, Sense, better, clamp, counted_eval)
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,7 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
         if best_v is None or better(v, best_v, Sense.MIN):
             best_x, best_v = x, v
             trace.append((i, float(v), tuple(float(c) for c in x)))
-    sd, _ = deviation(best_x, obj.known_optimum)
-    return RunResult(
-        best_point=tuple(float(c) for c in best_x),
-        best_value=float(best_v),
-        evaluations=counter.count,
-        generations=budget,
-        sd=sd,
-        trace=trace,
-        wallclock_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return RunResult.build(obj, best_x, best_v, counter.count, budget, trace, t0)
 
 
 @dataclass
@@ -161,13 +152,4 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream,
             temp *= sa.cooling
     except BudgetExceeded:
         pass
-    sd, _ = deviation(best_x, obj.known_optimum)
-    return RunResult(
-        best_point=tuple(float(c) for c in best_x),
-        best_value=float(best_v),
-        evaluations=counter.count,
-        generations=stage,
-        sd=sd,
-        trace=trace,
-        wallclock_ms=(time.perf_counter() - t0_clock) * 1000.0,
-    )
+    return RunResult.build(obj, best_x, best_v, counter.count, stage, trace, t0_clock)

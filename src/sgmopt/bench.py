@@ -14,7 +14,7 @@ import re
 import statistics
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -96,14 +96,19 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.rs_budget < 1:
+            raise ValueError("rs_budget must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must fit in 64 unsigned bits")
+        self.sa.validate()
         for name in self.functions:
             testbed.make_objective(name)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
         for func, overrides in self.overrides.items():
-            testbed.make_objective(func)
-            apply_overrides(engine.default_config(func), overrides)
+            obj = testbed.make_objective(func)
+            apply_overrides(engine.default_config(func), overrides).validate(obj)
 
 
 def _parse_value(raw: str):
@@ -386,20 +391,8 @@ def parse_trial_csv(path) -> List[TrialRow]:
 
 def emit_json(report: Report, path) -> Path:
     payload = {
-        "trials": [{
-            "function": r.function, "algorithm": r.algorithm, "trial": r.trial,
-            "seed": r.seed, "generations": r.generations,
-            "evaluations": r.evaluations, "best_f": r.best_f,
-            "best_x": list(r.best_x), "sd": r.sd,
-            "sd_vector": list(r.sd_vector) if r.sd_vector is not None else None,
-            "wallclock_ms": r.wallclock_ms,
-        } for r in report.rows],
-        "aggregates": [{
-            "function": a.function, "algorithm": a.algorithm, "trials": a.trials,
-            "median_best_f": a.median_best_f,
-            "mean_generations": a.mean_generations,
-            "success_rate": a.success_rate, "png": a.png,
-        } for a in report.aggregates],
+        "trials": [asdict(r) for r in report.rows],
+        "aggregates": [asdict(a) for a in report.aggregates],
         "png_row": report.png_row,
     }
     _atomic_write(Path(path), json.dumps(payload, indent=2) + "\n")

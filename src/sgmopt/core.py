@@ -11,6 +11,7 @@ a run is fully determined by its master seed and the derivation indices.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -279,6 +280,18 @@ class RunResult:
     trace: list = field(default_factory=list)
     wallclock_ms: float = 0.0
 
+    @classmethod
+    def build(cls, obj: Objective, best_point, best_value, evaluations: int,
+              generations: int, trace: list, t0: float) -> "RunResult":
+        """The report of a run on ``obj`` that started at ``perf_counter()``
+        reading ``t0``: the best point as a float tuple, its max-norm
+        distance to the known optimum as ``sd``, and the elapsed time."""
+        point = tuple(float(c) for c in best_point)
+        return cls(best_point=point, best_value=float(best_value),
+                   evaluations=evaluations, generations=generations,
+                   sd=deviation(point, obj.known_optimum)[0], trace=trace,
+                   wallclock_ms=(time.perf_counter() - t0) * 1000.0)
+
     def without_wallclock(self) -> tuple:
         """Everything but the timing, for bit-identity comparisons."""
         return (self.best_point, self.best_value, self.evaluations,
@@ -367,4 +380,6 @@ class EvalContext:
         return list(self.iter_values(P))
 
     def feasible(self, p) -> bool:
+        """Box membership of one point; the solvers mask whole batches with
+        ``box_mask`` instead, but perfbench/trace.py wraps this method."""
         return contains(self.obj.domain, p)

@@ -7,7 +7,7 @@ import time
 from typing import Optional
 
 from .core import (EvalContext, EvalCounter, Objective, ObjectiveError,
-                   RngStream, RunResult, SgmConfig, better, deviation)
+                   RngStream, RunResult, SgmConfig, better)
 from .refinement import run_phase2
 from .subdivision import run_phase1
 
@@ -65,41 +65,11 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
             final_point, final_value = ctx.best_point, ctx.best_value
     except ObjectiveError as exc:
         if ctx.best_point is not None:
-            best_point = tuple(float(c) for c in ctx.best_point)
-            exc.partial = RunResult(
-                best_point=best_point,
-                best_value=float(ctx.best_value),
-                evaluations=counter.count,
-                generations=0,
-                sd=deviation(best_point, obj.known_optimum)[0],
-                wallclock_ms=(time.perf_counter() - t0) * 1000.0)
+            exc.partial = RunResult.build(obj, ctx.best_point, ctx.best_value,
+                                          counter.count, 0, [], t0)
         raise
-    if obj.stochastic:
-        best_point = tuple(float(c) for c in final_point)
-        best_value = float(final_value)
-    else:
-        best_point = tuple(float(c) for c in ctx.best_point)
-        best_value = float(ctx.best_value)
-        last = trace[-1] if trace else None
-        if last is None or better(best_value, last[1], config.sense):
-            trace.append((gens, best_value, best_point))
-    # trace rows carry the running best (phase-2 anchors to its incumbent,
-    # which can start above phase-1's best-seen point)
-    mono = []
-    cur_v, cur_p = None, None
-    for g, v, p in trace:
-        if cur_v is None or better(v, cur_v, config.sense):
-            cur_v, cur_p = v, p
-        mono.append((g, cur_v, cur_p))
-    trace = mono
-    sd, _ = deviation(best_point, obj.known_optimum)
-    wallclock_ms = (time.perf_counter() - t0) * 1000.0
-    return RunResult(
-        best_point=best_point,
-        best_value=best_value,
-        evaluations=counter.count,
-        generations=gens,
-        sd=sd,
-        trace=trace,
-        wallclock_ms=wallclock_ms,
-    )
+    if not obj.stochastic:
+        final_point, final_value = ctx.best_point, ctx.best_value
+        if better(final_value, trace[-1][1], config.sense):
+            trace.append((gens, final_value, tuple(float(c) for c in final_point)))
+    return RunResult.build(obj, final_point, final_value, counter.count, gens, trace, t0)

@@ -123,12 +123,6 @@ def ray_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
         state.last_ray = (dirs[i // 10], float(alphas[i % 10]))
 
 
-def alpha_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
-                direction) -> Optional[Tuple[np.ndarray, float]]:
-    """``ray_sweep`` along one direction."""
-    return ray_sweep(state, ctx, config, [direction])
-
-
 def rotational_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
                      directions) -> Optional[Tuple[np.ndarray, float]]:
     """Rotate through the remaining diagonals at each beta length (times the
@@ -155,28 +149,23 @@ def rotational_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
 
 
 def crossover_midpoint(p1, p2) -> np.ndarray:
-    """Componentwise midpoint of two parents."""
+    """Componentwise midpoint of two parents (broadcasts over rows)."""
     a = np.asarray(p1, dtype=float)
     b = np.asarray(p2, dtype=float)
-    if a.size != b.size:
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("parents must share a dimension")
     return 0.5 * (a + b)
 
 
-def crossover_adjacent_sides(cell: GridCell, ray_end) -> List[np.ndarray]:
-    """Midpoints of the n cell edges incident to the corner nearest ray_end."""
+def crossover_adjacent_sides(cell: GridCell, ray_end) -> np.ndarray:
+    """Midpoints of the n cell edges incident to the corner nearest ray_end,
+    as an (n, n) matrix whose row j is the edge along axis j."""
     idx = cell.closest_corner_index(ray_end)
     corner = cell.corner(idx)
-    step = cell.step
-    mids = []
-    for j in range(cell.dim):
-        other = corner.copy()
-        if (idx >> j) & 1:
-            other[j] -= step[j]
-        else:
-            other[j] += step[j]
-        mids.append(crossover_midpoint(corner, other))
-    return mids
+    upper = np.array([(idx >> j) & 1 for j in range(cell.dim)], dtype=bool)
+    across = corner + np.where(upper, -cell.step, cell.step)
+    ends = np.where(np.eye(cell.dim, dtype=bool), across, corner)
+    return crossover_midpoint(corner, ends)
 
 
 def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
@@ -190,7 +179,9 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
     Termination: the scale bottoms out with nothing better, three
     consecutive sub-tolerance improvements, or budget exhaustion.
 
-    Returns (state, generations, trace_rows).
+    Returns (state, generations, trace_rows).  Each row carries the best
+    value seen so far, starting from the best point evaluated before phase
+    2, so the rows never get worse.
     """
     s, s_value = select_best_vertex(outcome, ctx.sense)
     state = RefineState(s=s, s_value=s_value, cell=outcome.cell)
@@ -200,8 +191,8 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
         return state, 0, trace
     n = obj.dim
     static_dirs = sweep_directions(n) if n <= DIR_FULL_MAX_DIM else None
-    floor_value = s_value
-    floor_point = s
+    floor_value = ctx.best_value
+    floor_point = tuple(float(c) for c in ctx.best_point)
     stall = 0
     try:
         while True:
@@ -216,8 +207,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
             if found is None:
                 if trace_sink is not None:
                     trace_sink(gens, state.s, None, False)
-                trace.append((trace_offset + gens, floor_value,
-                              tuple(float(c) for c in floor_point)))
+                trace.append((trace_offset + gens, floor_value, floor_point))
                 if state.scale <= SCALE_MIN:
                     break
                 state.scale *= 0.5
@@ -226,9 +216,9 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
             pool = [(p, pv)]
             if state.crossovers_used < config.tc_max:
                 state.crossovers_used += 1
-                for mid in crossover_adjacent_sides(state.cell, p):
-                    if ctx.feasible(mid):
-                        pool.append((mid, ctx.value(mid)))
+                mids = crossover_adjacent_sides(state.cell, p)
+                mids = mids[box_mask(obj.domain, mids)]
+                pool += zip(mids, ctx.values(mids))
             new_s, new_v = state.s, state.s_value
             for q, qv in pool:
                 if better(qv, new_v, ctx.sense):
@@ -236,11 +226,10 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
             improvement = abs(new_v - state.s_value)
             state.s, state.s_value = np.asarray(new_s, dtype=float), new_v
             if better(new_v, floor_value, ctx.sense):
-                floor_value, floor_point = new_v, state.s
+                floor_value, floor_point = new_v, tuple(float(c) for c in state.s)
             if trace_sink is not None:
                 trace_sink(gens, state.s, p, True)
-            trace.append((trace_offset + gens, floor_value,
-                          tuple(float(c) for c in floor_point)))
+            trace.append((trace_offset + gens, floor_value, floor_point))
             if improvement < config.tolerance:
                 stall += 1
                 if stall >= STALL_LIMIT:
@@ -249,6 +238,5 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
                 stall = 0
     except BudgetExceeded:
         gens += 1
-        trace.append((trace_offset + gens, floor_value,
-                      tuple(float(c) for c in floor_point)))
+        trace.append((trace_offset + gens, floor_value, floor_point))
     return state, gens, trace

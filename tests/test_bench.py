@@ -294,5 +294,17 @@ class TestCli:
         assert cli.main(["run", str(spec_file)]) == 0
         assert (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("rs_budget = 0", "rs_budget must be >= 1"),
+        ("sa_cooling = 1.5", "cooling must lie in (0, 1)"),
+        ("F1.budget = 0", "eval_budget must be >= 1"),
+        ("master_seed = -1", "master_seed must fit in 64 unsigned bits"),
+    ], ids=["rs_budget", "sa_cooling", "override_budget", "master_seed"])
+    def test_run_bad_value_exits_1(self, line, message, tmp_path, capsys):
+        spec_file = tmp_path / "exp.txt"
+        spec_file.write_text(f"functions = F1\nalgorithms = SGM, RS, SA\ntrials = 1\n{line}\n")
+        assert cli.main(["run", str(spec_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_run_missing_file_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/spec.txt"]) == 2

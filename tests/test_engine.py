@@ -76,6 +76,23 @@ class TestSolve:
             vals = [row[1] for row in r.trace]
             assert all(b <= a for a, b in zip(vals, vals[1:])), name
 
+    def test_final_trace_row_not_repeated(self):
+        cfg = SgmConfig(**{**default_config("TP1", seed=0).__dict__,
+                           "labeling": LabelStrategy.GRADIENT, "eval_budget": 28})
+        r = solve(make_objective("TP1"), cfg)
+        assert r.trace[-1] == (5, -36.0, (0.0, 0.0))
+        assert r.trace.count(r.trace[-1]) == 1
+
+    @pytest.mark.parametrize("name", ["TP1", "BEALE"])
+    @pytest.mark.parametrize("labeling", list(LabelStrategy))
+    def test_no_repeated_trace_rows_small_budgets(self, name, labeling):
+        obj = make_objective(name)
+        for budget in range(5, 80):
+            cfg = SgmConfig(**{**default_config(name, seed=0).__dict__,
+                               "labeling": labeling, "eval_budget": budget})
+            trace = solve(obj, cfg).trace
+            assert all(a != b for a, b in zip(trace, trace[1:])), budget
+
     def test_max_sense_duality(self):
         obj = make_objective("F2")
         neg = Objective(name="F2neg", dim=obj.dim, domain=obj.domain,

@@ -3,7 +3,7 @@ import pytest
 
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, RngStream, Sense, SgmConfig, better)
-from sgmopt.refinement import (DIR_FULL_MAX_DIM, RefineState, alpha_sweep,
+from sgmopt.refinement import (DIR_FULL_MAX_DIM, RefineState,
                                crossover_adjacent_sides, crossover_midpoint,
                                diagonal_directions, ray_mutate, ray_sweep,
                                rotational_sweep, run_phase2, select_best_vertex,
@@ -114,7 +114,7 @@ class TestAlphaSweep:
         ctx = make_ctx(obj)
         state = RefineState(s=np.array([0.5, 0.5]), s_value=obj.fn(np.array([0.5, 0.5])),
                             cell=initial_cell(obj.domain))
-        got = alpha_sweep(state, ctx, SgmConfig(), (-1, -1))
+        got = ray_sweep(state, ctx, SgmConfig(), [(-1, -1)])
         assert got is not None
         p, v = got
         assert tuple(p) == (0.4, 0.4)
@@ -125,7 +125,7 @@ class TestAlphaSweep:
         ctx = make_ctx(obj)
         state = RefineState(s=np.zeros(3), s_value=0.0, cell=initial_cell(obj.domain))
         for d in diagonal_directions(3):
-            assert alpha_sweep(state, ctx, SgmConfig(), d) is None
+            assert ray_sweep(state, ctx, SgmConfig(), [d]) is None
 
     def test_all_endpoints_infeasible(self):
         obj = make_objective("TP1", bounds=1.0)
@@ -133,7 +133,7 @@ class TestAlphaSweep:
         state = RefineState(s=np.array([1.0, 1.0]), s_value=obj.fn(np.array([1.0, 1.0])),
                             cell=initial_cell(obj.domain))
         before = ctx.counter.count
-        assert alpha_sweep(state, ctx, SgmConfig(), (1, 1)) is None
+        assert ray_sweep(state, ctx, SgmConfig(), [(1, 1)]) is None
         assert ctx.counter.count == before  # infeasible candidates cost nothing
 
 
