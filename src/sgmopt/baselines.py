@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (BudgetExceeded, EvalCounter, Objective, RngStream,
-                   RunResult, Sense, better, clamp, counted_eval)
+                   RunResult, Sense, batch_form, better, box_mask, clamp,
+                   counted_eval)
 
 
 @dataclass(frozen=True)
@@ -44,36 +45,53 @@ def rslmga_row() -> tuple:
     return _REFERENCE_ROWS[5].gens
 
 
-RS_BLOCK = 4096
+RS_BLOCK = 512
 
 
-def _uniform_points(obj: Objective, budget: int, rng: RngStream):
-    """``budget`` uniform points over the box, in draw order: blocks of up
-    to RS_BLOCK rows (the same numbers as one draw per point), or one draw
-    at a time for stochastic objectives, whose fn shares the rng."""
+def _uniform_blocks(obj: Objective, budget: int, rng: RngStream):
+    """``budget`` uniform points over the box, in draw order, as blocks of
+    up to RS_BLOCK rows (the same numbers as one draw per point), or of one
+    row for stochastic objectives, whose fn shares the rng."""
     lo, hi = obj.domain.lo, obj.domain.hi
-    if obj.stochastic:
-        for _ in range(budget):
-            yield rng.uniform(lo, hi)
-        return
-    for start in range(0, budget, RS_BLOCK):
-        yield from rng.uniform(lo, hi, size=(min(RS_BLOCK, budget - start), obj.dim))
+    step = 1 if obj.stochastic else RS_BLOCK
+    for start in range(0, budget, step):
+        yield rng.uniform(lo, hi, size=(min(step, budget - start), obj.dim))
 
 
 def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
-    """Uniform sampling over the box; returns the best of ``budget`` draws."""
+    """Uniform sampling over the box; returns the best of ``budget`` draws.
+
+    A deterministic objective with a batch form (the test bed's) is
+    evaluated one block of draws per call; any other, one draw at a time
+    through ``counted_eval``."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
     counter = EvalCounter(budget)
+    batch = None if obj.stochastic else batch_form(obj.fn)
     best_x = None
     best_v = None
     trace = []
-    for i, x in enumerate(_uniform_points(obj, budget, rng)):
-        v = counted_eval(obj, x, counter, rng)
-        if best_v is None or better(v, best_v, Sense.MIN):
-            best_x, best_v = x, v
-            trace.append((i, float(v), tuple(float(c) for c in x)))
+    start = 0
+    for X in _uniform_blocks(obj, budget, rng):
+        if batch is None:
+            vals = [counted_eval(obj, x, counter, rng) for x in X]
+            rows = range(len(X))
+        else:
+            if X.shape[1:] != (obj.dim,) or not box_mask(obj.domain, X).all():
+                raise ValueError(f"{obj.name}: draws outside domain")
+            counter.tick(len(X))
+            V = batch(X)
+            vals = V.tolist()
+            # Only rows below the best so far can beat it; NaN rows pass
+            # this filter, and ``better`` ranks them worst.
+            rows = range(len(X)) if best_v is None else np.flatnonzero(~(V >= best_v)).tolist()
+        for i in rows:
+            v = vals[i]
+            if best_v is None or better(v, best_v, Sense.MIN):
+                best_x, best_v = X[i], v
+                trace.append((start + i, float(v), tuple(float(c) for c in best_x)))
+        start += len(X)
     return RunResult.build(obj, best_x, best_v, counter.count, budget, trace, t0)
 
 

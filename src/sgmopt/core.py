@@ -40,7 +40,8 @@ class ObjectiveError(RuntimeError):
 
     ``partial`` is the RunResult of the best point evaluated before the
     failure, set by ``engine.solve`` (None elsewhere, or when no evaluation
-    had succeeded yet).
+    had succeeded yet).  Its evaluations include the failed call, or every
+    row of the batch when a batch form raised.
     """
 
     partial = None
@@ -105,8 +106,9 @@ def contains(box: BoxDomain, p) -> bool:
 
 
 def box_mask(box: BoxDomain, P) -> np.ndarray:
-    """Closed-box membership of each row of the (m, n) batch ``P``."""
-    return ((P >= box.lo) & (P <= box.hi)).all(axis=1)
+    """Closed-box membership of each row of the (m, n) batch ``P``, or of
+    the one point ``P``; NaN coordinates are outside."""
+    return ((P >= box.lo) & (P <= box.hi)).all(axis=-1)
 
 
 def clamp(box: BoxDomain, p) -> np.ndarray:
@@ -177,6 +179,30 @@ class Objective:
             raise ValueError("stochastic objectives must supply noise_free_fn")
 
 
+# Batch forms by the id of the scalar function they vectorise, with that
+# function kept alive so that no other object can take its id.  Keying on
+# the function object, not on an Objective field, means a copy of an
+# Objective with another fn (a wrapper or a user function) finds no batch
+# form and is evaluated row by row.
+_BATCH_FORMS: dict = {}
+
+
+def vectorises(fn: Callable):
+    """Register the decorated ``batch(P) -> (m,) values`` as the row-wise
+    form of the scalar function ``fn``.  Row i of its result must equal
+    ``fn(P[i])`` bit for bit."""
+    def register(batch):
+        _BATCH_FORMS[id(fn)] = (fn, batch)
+        return batch
+    return register
+
+
+def batch_form(fn: Callable) -> Optional[Callable]:
+    """The batch form registered for ``fn``, or None."""
+    entry = _BATCH_FORMS.get(id(fn))
+    return entry[1] if entry is not None and entry[0] is fn else None
+
+
 class EvalCounter:
     """Counts objective evaluations against a hard budget."""
 
@@ -186,10 +212,12 @@ class EvalCounter:
         self.budget = int(budget)
         self.count = 0
 
-    def tick(self):
-        if self.count >= self.budget:
+    def tick(self, k: int = 1):
+        """Count ``k`` evaluations, or raise BudgetExceeded (counting none)
+        when fewer than ``k`` are left."""
+        if self.count + k > self.budget:
             raise BudgetExceeded(f"evaluation budget {self.budget} exhausted")
-        self.count += 1
+        self.count += k
 
     @property
     def remaining(self) -> int:
@@ -199,11 +227,15 @@ class EvalCounter:
 def counted_eval(obj: Objective, p, counter: EvalCounter, rng: Optional[RngStream] = None) -> float:
     """Evaluate ``obj`` at ``p``, incrementing ``counter`` by exactly one.
 
-    The rng is consumed only for stochastic objectives.  Raises
-    BudgetExceeded (before evaluating) once the budget is used up.
+    The rng is consumed only for stochastic objectives.  Raises ValueError
+    unless ``p`` is an ``(obj.dim,)`` point inside the box (NaN and inf
+    coordinates are outside it), and BudgetExceeded (before evaluating)
+    once the budget is used up.
     """
-    p = as_point(p, obj.dim)
-    if not contains(obj.domain, p):
+    p = np.asarray(p, dtype=float)
+    if p.shape != (obj.dim,):
+        raise ValueError(f"{obj.name}: point has shape {p.shape}, expected ({obj.dim},)")
+    if not box_mask(obj.domain, p):
         raise ValueError(f"{obj.name}: point {p} outside domain")
     counter.tick()
     if obj.stochastic:
@@ -327,6 +359,7 @@ class EvalContext:
         self.epoch = -1
         self._cache: dict = {}
         self._noise_offset = 0.0
+        self._batch = batch_form(obj.noise_free_fn if obj.stochastic else obj.fn)
         self.best_point: Optional[np.ndarray] = None
         self.best_value: Optional[float] = None
         self.new_epoch()
@@ -340,12 +373,18 @@ class EvalContext:
             # equals giving every in-epoch evaluation the identical rng state.
             self._noise_offset = float(np.sum(noise_rng.normal(size=self.obj.dim)))
 
-    def value(self, p) -> float:
+    def value(self, p, key=None) -> float:
+        """The objective at ``p``, from the cache when it holds ``p``.
+
+        ``key`` is ``tuple(p.tolist())``, passed by a caller that has
+        already looked it up and missed, so ``p`` is evaluated at once.
+        """
         p = np.asarray(p, dtype=float)
-        key = tuple(p.tolist())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if key is None:
+            key = tuple(p.tolist())
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
         self.counter.tick()
         try:
             if self.obj.stochastic:
@@ -372,12 +411,48 @@ class EvalContext:
         P = np.asarray(P, dtype=float)
         cache = self._cache
         for p, row in zip(P, P.tolist()):
-            hit = cache.get(tuple(row))
-            yield hit if hit is not None else self.value(p)
+            key = tuple(row)
+            hit = cache.get(key)
+            yield hit if hit is not None else self.value(p, key)
 
     def values(self, P) -> list:
-        """``value`` of every row of the (m, n) batch ``P``, in row order."""
-        return list(self.iter_values(P))
+        """``value`` of every row of the (m, n) batch ``P``, in row order.
+
+        With a batch form (see ``vectorises``), one call of it evaluates
+        the first occurrence of each cache miss, as many as the budget has
+        left.  The cache, counter and best point then end as successive
+        ``value`` calls would leave them, and BudgetExceeded is raised when
+        some misses did not fit.  If the batch form raises, every row passed
+        to it counts as evaluated, none is cached, and the best point stays
+        the one from before the batch.
+        """
+        if self._batch is None:
+            return list(self.iter_values(P))
+        P = np.asarray(P, dtype=float)
+        keys = [tuple(row) for row in P.tolist()]
+        cache = self._cache
+        misses: dict = {}
+        for i, key in enumerate(keys):
+            if key not in cache and key not in misses:
+                misses[key] = i
+        rows = list(misses.values())[:self.counter.remaining]
+        if rows:
+            self.counter.tick(len(rows))
+            try:
+                vals = self._batch(P[rows])
+            except Exception as exc:
+                raise ObjectiveError(
+                    f"{self.obj.name} raised on a batch of {len(rows)} rows: {exc!r}") from exc
+            if self.obj.stochastic:
+                vals = vals + self._noise_offset
+            for i, v in zip(rows, vals.tolist()):
+                cache[keys[i]] = v
+                if self.best_value is None or better(v, self.best_value, self.sense):
+                    self.best_value = v
+                    self.best_point = P[i].copy()
+        if len(rows) < len(misses):
+            raise BudgetExceeded(f"evaluation budget {self.counter.budget} exhausted")
+        return [cache[key] for key in keys]
 
     def feasible(self, p) -> bool:
         """Box membership of one point; the solvers mask whole batches with

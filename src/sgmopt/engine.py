@@ -42,7 +42,9 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
     An exception from the objective is re-raised as ObjectiveError, chained
     from the original, whose ``partial`` reports the best point evaluated
     before it (with every evaluation made, the failed one included, and no
-    trace or generations); ``partial`` is None when no evaluation succeeded.
+    trace or generations).  When a test-bed batch form raised, the count
+    includes every point of that batch, and the best point is the best from
+    before it.  ``partial`` is None when no evaluation succeeded.
     """
     config.validate(obj)
     t0 = time.perf_counter()

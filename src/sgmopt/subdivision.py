@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   RefinementLimit, Sense, SgmConfig, better, box_mask)
+                   RefinementLimit, Sense, SgmConfig, box_mask)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
 from . import testbed
@@ -201,11 +201,12 @@ def best_neighbor(ctx: EvalContext, p, h, center_hint=None):
     """
     p = np.asarray(p, dtype=float)
     P = np.vstack([p, neighborhood(p, h, ctx.obj.domain, center_hint)])
-    vals = ctx.values(P)
-    best = 0
-    for i in range(1, len(vals)):
-        if better(vals[i], vals[best], ctx.sense):
-            best = i
+    vals = np.array(ctx.values(P))
+    # ``better``'s ranking in one reduction: the first best value among the
+    # non-NaN rows, or row 0 when every value is NaN.
+    ok = np.flatnonzero(vals == vals)
+    pick = np.argmax if ctx.sense is Sense.MAX else np.argmin
+    best = ok[pick(vals[ok])] if ok.size else 0
     return P[best], P[best] - p
 
 

@@ -2,6 +2,15 @@
 the Beale function) plus the five De Jong functions F1-F5, with analytic
 gradients where they exist.
 
+Every deterministic function, and F4's noise-free part, has a batch form
+registered with ``core.vectorises`` that evaluates each row of an (m, n)
+array in one call.  Where a scalar form applies ``**`` to a single number,
+its batch form uses ``np.float_power``, which calls the same libm ``pow``;
+``np.power`` and ``x * x`` round differently on some points.  Where the
+scalar form already applies ``**`` or ``.sum()`` to an array, the batch form
+does the same along the rows.  tests/test_testbed.py checks that every batch
+form matches its scalar form bit for bit.
+
 The Shekel foxholes constants ship as a plain-text data asset
 (``data/foxholes.txt``, 25 rows of "a1 a2") and are verified against their
 structural invariants at load time.
@@ -14,7 +23,8 @@ from importlib import resources
 
 import numpy as np
 
-from .core import BoxDomain, GradientUnavailable, Objective, RngStream, as_point
+from .core import (BoxDomain, GradientUnavailable, Objective, RngStream, as_point,
+                   vectorises)
 
 VALID_NAMES = ("TP1", "BEALE", "F1", "F2", "F3", "F4", "F5")
 
@@ -30,6 +40,13 @@ def eval_tp1(p) -> float:
     return float(x[0] ** 2 + x[1] ** 2 - 18.0 * math.cos(x[0]) - 18.0 * math.cos(x[1]))
 
 
+@vectorises(eval_tp1)
+def batch_tp1(P) -> np.ndarray:
+    x1, x2 = P[:, 0], P[:, 1]
+    return (np.float_power(x1, 2) + np.float_power(x2, 2)
+            - 18.0 * np.cos(x1) - 18.0 * np.cos(x2))
+
+
 def grad_tp1(p) -> np.ndarray:
     x = np.asarray(p, dtype=float)
     return 2.0 * x + 18.0 * np.sin(x)
@@ -42,6 +59,15 @@ def eval_beale(p) -> float:
     t1 = 1.5 - x1 + x1 * x2
     t2 = 2.25 - x1 + x1 * x2 ** 2
     t3 = 2.625 - x1 + x1 * x2 ** 3
+    return t1 * t1 + t2 * t2 + t3 * t3
+
+
+@vectorises(eval_beale)
+def batch_beale(P) -> np.ndarray:
+    x1, x2 = P[:, 0], P[:, 1]
+    t1 = 1.5 - x1 + x1 * x2
+    t2 = 2.25 - x1 + x1 * np.float_power(x2, 2)
+    t3 = 2.625 - x1 + x1 * np.float_power(x2, 3)
     return t1 * t1 + t2 * t2 + t3 * t3
 
 
@@ -60,6 +86,11 @@ def eval_f1(p) -> float:
     return float((x * x).sum())
 
 
+@vectorises(eval_f1)
+def batch_f1(P) -> np.ndarray:
+    return (P * P).sum(axis=1)
+
+
 def grad_f1(p) -> np.ndarray:
     return 2.0 * np.asarray(p, dtype=float)
 
@@ -69,6 +100,13 @@ def eval_f2(p) -> float:
     # below on the box and (1, 1) would not be the minimizer.
     x1, x2 = float(p[0]), float(p[1])
     return 100.0 * (x1 ** 2 - x2) ** 2 + (1.0 - x1) ** 2
+
+
+@vectorises(eval_f2)
+def batch_f2(P) -> np.ndarray:
+    x1, x2 = P[:, 0], P[:, 1]
+    return (100.0 * np.float_power(np.float_power(x1, 2) - x2, 2)
+            + np.float_power(1.0 - x1, 2))
 
 
 def grad_f2(p) -> np.ndarray:
@@ -84,10 +122,20 @@ def eval_f3(p) -> float:
     return float(30.0 + np.floor(x).sum())
 
 
+@vectorises(eval_f3)
+def batch_f3(P) -> np.ndarray:
+    return 30.0 + np.floor(P).sum(axis=1)
+
+
 def f4_deterministic(p) -> float:
     """Noise-free part of F4: sum_i i * x_i^4."""
     x = np.asarray(p, dtype=float)
     return float((_F4_COEF * x ** 4).sum())
+
+
+@vectorises(f4_deterministic)
+def batch_f4_deterministic(P) -> np.ndarray:
+    return (_F4_COEF * P ** 4).sum(axis=1)
 
 
 def eval_f4(p, rng: RngStream) -> float:
@@ -125,6 +173,12 @@ def eval_f5(p) -> float:
     x = np.asarray(p, dtype=float)
     d = (x[0] - _FOXHOLES[0]) ** 6 + (x[1] - _FOXHOLES[1]) ** 6
     return float(1.0 / (0.002 + (1.0 / (_F5_J + d)).sum()))
+
+
+@vectorises(eval_f5)
+def batch_f5(P) -> np.ndarray:
+    d = (P[:, :1] - _FOXHOLES[0]) ** 6 + (P[:, 1:] - _FOXHOLES[1]) ** 6
+    return 1.0 / (0.002 + (1.0 / (_F5_J + d)).sum(axis=1))
 
 
 def finite_difference_gradient(fn, p, rel_step: float = 1e-6) -> np.ndarray:

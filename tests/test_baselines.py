@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sgmopt.baselines import (SaConfig, de_row, random_search,
+from sgmopt.baselines import (RS_BLOCK, SaConfig, de_row, random_search,
                               reference_table, rslmga_row, simulated_annealing)
-from sgmopt.core import BoxDomain, Objective, RngStream
+from sgmopt.core import BoxDomain, Objective, RngStream, batch_form, vectorises
 from sgmopt.testbed import make_objective
 
 
@@ -41,6 +43,47 @@ class TestRandomSearch:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             random_search(make_objective("F1"), 0, RngStream(0))
+
+
+def row_by_row(obj):
+    """A copy of ``obj`` whose fn wraps the test-bed one, so random search
+    evaluates it one draw at a time."""
+    fn = obj.fn
+    return replace(obj, fn=lambda p: fn(p))
+
+
+@pytest.mark.parametrize("name", ["TP1", "BEALE", "F1", "F2", "F3", "F5"])
+def test_batched_random_search_equals_row_by_row(name):
+    obj = make_objective(name)
+    assert batch_form(obj.fn) is not None
+    for budget in (1, RS_BLOCK - 1, RS_BLOCK, RS_BLOCK + 1, 3 * RS_BLOCK + 7):
+        got = random_search(obj, budget, RngStream(4, budget))
+        want = random_search(row_by_row(obj), budget, RngStream(4, budget))
+        assert repr(got.without_wallclock()) == repr(want.without_wallclock())
+
+
+def holey(p):
+    """A sphere that is NaN wherever x_1 > -1.99: at seeds 0 and 4 every
+    draw of random search's first block is NaN."""
+    x = np.asarray(p, dtype=float)
+    if x[0] > -1.99:
+        return float("nan")
+    return float((x * x).sum())
+
+
+@vectorises(holey)
+def holey_rows(P):
+    return np.where(P[:, 0] > -1.99, np.nan, (P * P).sum(axis=1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_random_search_ranks_nan_worst(seed):
+    obj = Objective(name="HOLEY", dim=2, domain=BoxDomain(np.full(2, -2.0), np.full(2, 2.0)),
+                    fn=holey)
+    got = random_search(obj, 4 * RS_BLOCK + 3, RngStream(seed))
+    want = random_search(row_by_row(obj), 4 * RS_BLOCK + 3, RngStream(seed))
+    assert repr(got.without_wallclock()) == repr(want.without_wallclock())
+    assert np.isfinite(got.best_value)
 
 
 class TestSimulatedAnnealing:

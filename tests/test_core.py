@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sgmopt.baselines import random_search
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
-                         RngStream, Sense, SgmConfig, better, clamp, contains,
-                         counted_eval, deviation)
+                         Objective, ObjectiveError, RngStream, Sense, SgmConfig,
+                         batch_form, better, clamp, contains, counted_eval,
+                         deviation, vectorises)
+from sgmopt.engine import solve
 from sgmopt.testbed import make_objective
 
 
@@ -84,10 +89,32 @@ class TestCountedEval:
             counted_eval(obj, (1.0, 1.0, 1.0), counter)
         assert counter.count == 2
 
+    def test_tick_many_counts_all_or_none(self):
+        counter = EvalCounter(5)
+        counter.tick(3)
+        with pytest.raises(BudgetExceeded):
+            counter.tick(3)
+        assert counter.count == 3
+        counter.tick(2)
+        assert counter.remaining == 0
+
     def test_out_of_domain_rejected(self):
         obj = make_objective("F2")
         with pytest.raises(ValueError):
             counted_eval(obj, (5.0, 0.0), EvalCounter(5))
+
+    @pytest.mark.parametrize("p", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0),
+                                   (0.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]]])
+    def test_bad_point_rejected_without_counting(self, p):
+        obj = make_objective("F2")
+        counter = EvalCounter(5)
+        with pytest.raises(ValueError):
+            counted_eval(obj, p, counter)
+        assert counter.count == 0
+
+    def test_boundary_accepted(self):
+        obj = make_objective("F2")
+        assert counted_eval(obj, obj.domain.hi, EvalCounter(1)) == obj.fn(obj.domain.hi)
 
     def test_stochastic_draws_differ(self):
         obj = make_objective("F4")
@@ -179,8 +206,30 @@ def ctx_state(ctx):
     return (ctx.counter.count, dict(ctx._cache), repr(ctx.best_point), ctx.best_value)
 
 
+def row_by_row(obj):
+    """A copy of ``obj`` whose evaluated function wraps the test-bed one, so
+    no batch form is registered for it."""
+    if obj.stochastic:
+        nf = obj.noise_free_fn
+        return replace(obj, noise_free_fn=lambda p: nf(p))
+    fn = obj.fn
+    return replace(obj, fn=lambda p: fn(p))
+
+
+def objective(name, path):
+    obj = make_objective(name)
+    obj = obj if path == "batch" else row_by_row(obj)
+    fn = obj.noise_free_fn if obj.stochastic else obj.fn
+    assert (batch_form(fn) is not None) == (path == "batch")
+    return obj
+
+
 class TestEvalContextValues:
-    """``values(P)`` must equal successive ``value`` calls row by row."""
+    """``values(P)`` must equal successive ``value`` calls row by row.  The
+    test-bed objectives here evaluate through their batch forms; the
+    subclass below repeats every check without them."""
+
+    path = "batch"
 
     @staticmethod
     def batch(n, seed):
@@ -214,7 +263,7 @@ class TestEvalContextValues:
         return ctxs, got, want, raised
 
     def test_matches_value_calls(self):
-        obj = make_objective("F1")
+        obj = objective("F1", self.path)
         P = self.batch(3, 0)
         (a, b), got, want, raised = self.run_both(obj, P, 100, warm=P[5])
         assert raised == []
@@ -223,7 +272,7 @@ class TestEvalContextValues:
         assert a.counter.count == 9
 
     def test_budget_runs_out_mid_batch(self):
-        obj = make_objective("F1")
+        obj = objective("F1", self.path)
         P = self.batch(3, 1)
         (a, b), got, want, raised = self.run_both(obj, P, 6)
         assert raised == ["values", "value"]
@@ -231,8 +280,17 @@ class TestEvalContextValues:
         assert a.counter.count == b.counter.count == 6
         assert ctx_state(a) == ctx_state(b)
 
+    @pytest.mark.parametrize("budget", [1, 4, 8])
+    def test_budget_cut_at_other_rows(self, budget):
+        obj = objective("F1", self.path)
+        P = self.batch(3, 1)
+        (a, b), got, want, raised = self.run_both(obj, P, budget)
+        assert raised == ["values", "value"]
+        assert a.counter.count == b.counter.count == budget
+        assert ctx_state(a) == ctx_state(b)
+
     def test_iter_values_evaluates_on_demand(self):
-        obj = make_objective("F1")
+        obj = objective("F1", self.path)
         P = self.batch(3, 3)
         ctx = EvalContext(obj, EvalCounter(100), RngStream(5), Sense.MIN)
         walk = ctx.iter_values(P)
@@ -241,12 +299,104 @@ class TestEvalContextValues:
         assert first == [obj.fn(p) for p in P[:4]]
 
     def test_stochastic_epoch(self):
-        obj = make_objective("F4")
+        obj = objective("F4", self.path)
         P = self.batch(30, 2)
-        (a, b), got, want, raised = self.run_both(obj, P, 100, epochs=2)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, epochs=2, warm=P[4])
         assert raised == []
         assert got == want
         assert ctx_state(a) == ctx_state(b)
+
+    def test_stochastic_budget_cut(self):
+        obj = objective("F4", self.path)
+        P = self.batch(30, 2)
+        (a, b), got, want, raised = self.run_both(obj, P, 7, epochs=2, warm=P[4])
+        assert raised == ["values", "value"]
+        assert a.counter.count == 7
+        assert ctx_state(a) == ctx_state(b)
+
+
+class TestEvalContextValuesRowByRow(TestEvalContextValues):
+    """The same checks on copies of the objectives with no batch form."""
+
+    path = "rows"
+
+
+def counting_sphere():
+    """A scalar sphere with a registered batch form that records the rows
+    it is called with."""
+    seen = []
+
+    def sphere(p):
+        return float((np.asarray(p) ** 2).sum())
+
+    @vectorises(sphere)
+    def sphere_rows(P):
+        seen.append(P.tolist())
+        return (P ** 2).sum(axis=1)
+
+    return Objective("SPHERE", 2, box2(-1.0, 1.0), sphere), seen
+
+
+class TestBatchForm:
+    def test_called_once_with_first_occurrence_of_each_miss(self):
+        obj, seen = counting_sphere()
+        ctx = EvalContext(obj, EvalCounter(4), RngStream(0), Sense.MIN)
+        ctx.value(np.array([0.5, 0.5]))
+        P = np.array([[0.5, 0.5], [0.0, 0.0], [0.25, 0.0], [-0.0, 0.0],
+                      [0.25, 0.0], [0.0, 0.5], [1.0, 1.0]])
+        with pytest.raises(BudgetExceeded):
+            ctx.values(P)
+        assert seen == [[[0.0, 0.0], [0.25, 0.0], [0.0, 0.5]]]
+        assert ctx.counter.count == 4
+        P[1] = 0.75      # the best point is a copy, not a view of P
+        assert ctx.best_point.tolist() == [0.0, 0.0]
+        assert ctx.values(P[2:5]) == [0.0625, 0.0, 0.0625]
+        assert len(seen) == 1
+
+    def test_replaced_fn_never_calls_the_old_batch_form(self):
+        obj, seen = counting_sphere()
+        calls = []
+
+        def g(p):
+            calls.append(1)
+            return -float(np.sum(p))
+
+        new = replace(obj, fn=g)
+        assert batch_form(new.fn) is None
+        ctx = EvalContext(new, EvalCounter(100), RngStream(0), Sense.MIN)
+        P = np.array([[0.5, 0.5], [0.0, 0.25], [1.0, 1.0]])
+        assert ctx.values(P) == [-1.0, -0.25, -2.0]
+        r = random_search(new, 600, RngStream(0))
+        assert r.best_value == g(np.asarray(r.best_point))
+        assert len(calls) == 3 + 1 + 600 and seen == []
+
+    def test_error_becomes_objective_error(self):
+        def fn(p):
+            return float(np.sum(p))
+
+        @vectorises(fn)
+        def fn_rows(P):
+            raise ZeroDivisionError("batch")
+
+        obj = Objective("RAISES", 2, box2(-1.0, 1.0), fn)
+        ctx = EvalContext(obj, EvalCounter(100), RngStream(0), Sense.MIN)
+        ctx.value(np.array([1.0, 1.0]))
+        P = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        with pytest.raises(ObjectiveError) as info:
+            ctx.values(P)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        # Both rows sent to the batch form count; neither is cached.
+        assert ctx.counter.count == 3
+        assert ctx_state(ctx)[1:] == ({(1.0, 1.0): 2.0}, repr(np.array([1.0, 1.0])), 2.0)
+
+        # Through solve, ``partial`` reports the first box corner, which
+        # phase 1 evaluates alone, and counts its three in-box Moore
+        # neighbours, whose batch raised.
+        with pytest.raises(ObjectiveError) as info:
+            solve(obj, SgmConfig(eval_budget=100))
+        partial = info.value.partial
+        assert (partial.best_point, partial.best_value) == ((-1.0, -1.0), -2.0)
+        assert partial.evaluations == 4
 
 
 class TestDeviation:

@@ -5,7 +5,7 @@ import pytest
 
 from sgmopt.core import (BoxDomain, EvalContext, EvalCounter, LabelStrategy,
                          Objective, RefinementLimit, RngStream, Sense,
-                         SgmConfig, contains)
+                         SgmConfig, better, contains)
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, best_neighbor, initial_cell,
                                 is_completely_labeled, label_by_direction,
                                 label_by_gradient, label_vertex, neighborhood,
@@ -141,6 +141,48 @@ class TestBestNeighbor:
         obj = Objective("PEAK", 2, box(-2, 2), lambda p: -float(np.max(np.abs(p))))
         _, d = best_neighbor(make_ctx(obj), np.zeros(2), np.ones(2))
         assert tuple(d) == (-1.0, -1.0)
+
+
+def reference_best(vals, sense):
+    """The row ``better`` picks, one comparison at a time."""
+    best = 0
+    for i in range(1, len(vals)):
+        if better(vals[i], vals[best], sense):
+            best = i
+    return best
+
+
+class TestBestNeighborRanking:
+    """best_neighbor picks the same row as ``better`` over values with NaN,
+    +-inf and ties, under both senses."""
+
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    def test_matches_reference(self, sense):
+        rng = np.random.default_rng(11)
+        p, h = np.zeros(2), np.ones(2)
+        P = np.vstack([p, neighborhood(p, h, box(-2, 2))])
+        pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1.0, -1.0])
+        for _ in range(400):
+            vals = rng.choice(pool, size=len(P))
+            table = {tuple(q): v for q, v in zip(P.tolist(), vals.tolist())}
+            obj = Objective("TABLE", 2, box(-2, 2), lambda q: table[tuple(q.tolist())])
+            c, d = best_neighbor(make_ctx(obj, sense=sense), p, h)
+            want = reference_best(vals.tolist(), sense)
+            assert c.tolist() == P[want].tolist(), vals
+            assert d.tolist() == (P[want] - p).tolist()
+
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    def test_all_nan_keeps_the_point(self, sense):
+        obj = Objective("NAN", 2, box(-2, 2), lambda q: float("nan"))
+        _, d = best_neighbor(make_ctx(obj, sense=sense), np.zeros(2), np.ones(2))
+        assert d.tolist() == [0.0, 0.0]
+
+    def test_nan_point_loses_to_infinite_neighbour(self):
+        # -inf under MAX (and +inf under MIN) still beats NaN.
+        obj = Objective("NANINF", 2, box(-2, 2),
+                        lambda q: float("nan") if not q.any() else -np.inf)
+        _, d = best_neighbor(make_ctx(obj, sense=Sense.MAX), np.zeros(2), np.ones(2))
+        assert d.tolist() == [-1.0, -1.0]
 
 
 class TestLabelRules:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sgmopt.core import GradientUnavailable, RngStream
+from sgmopt.core import GradientUnavailable, RngStream, batch_form
 from sgmopt import testbed
 from sgmopt.testbed import (eval_beale, eval_f1, eval_f2, eval_f3, eval_f5,
                             eval_tp1, f4_deterministic,
                             finite_difference_gradient, foxholes_matrix,
-                            gradient, make_objective)
+                            gradient, make_objective, VALID_NAMES)
 
 # f5 at the center of its deepest well, computed directly from the formula
 # with the standard foxholes constants (frozen oracle value).
@@ -165,3 +165,47 @@ class TestKnownOptima:
         obj = make_objective("F4")
         point, value = obj.known_optimum
         assert f4_deterministic(np.asarray(point)) == value == 0.0
+
+
+def batch_cases(obj, count=100_000, seed=0):
+    """``count`` uniform box points, then box corners, points on each face,
+    level-3 grid vertices, and rows of +0.0 and -0.0."""
+    lo, hi = obj.domain.lo, obj.domain.hi
+    n = obj.dim
+    rng = np.random.default_rng(seed)
+    rows = [rng.uniform(lo, hi, size=(count, n))]
+    rows.append(np.where(rng.integers(0, 2, size=(1_024, n)) == 1, hi, lo))
+    faces = rng.uniform(lo, hi, size=(2 * n, n))
+    faces[np.arange(n), np.arange(n)] = lo
+    faces[n + np.arange(n), np.arange(n)] = hi
+    rows.append(faces)
+    k = rng.integers(0, 2 ** 3 + 1, size=(2_000, n))
+    rows.append(lo + k * np.ldexp(hi - lo, -3))
+    signs = rng.integers(0, 2, size=(64, n))
+    rows.append(np.where(signs == 1, -0.0, 0.0))
+    return np.vstack(rows)
+
+
+def simd_report() -> str:
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    return f"numpy {np.__version__}, SIMD {simd}"
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_batch_form_matches_scalar_bit_for_bit(name):
+    obj = make_objective(name)
+    fn = obj.noise_free_fn if obj.stochastic else obj.fn
+    batch = batch_form(fn)
+    assert batch is not None
+    P = batch_cases(obj)
+    want = np.array([fn(p) for p in P])
+    got = batch(P)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (f"{name}: {bad.size} of {len(P)} rows differ, first at "
+                           f"{P[bad[0]].tolist()}: {got[bad[0]]!r} != {want[bad[0]]!r}; "
+                           f"{simd_report()}")
+
+
+def test_f4_noisy_fn_has_no_batch_form():
+    assert batch_form(make_objective("F4").fn) is None
