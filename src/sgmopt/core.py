@@ -179,11 +179,11 @@ class Objective:
             raise ValueError("stochastic objectives must supply noise_free_fn")
 
 
-# Batch forms by the id of the scalar function they vectorise, with that
-# function kept alive so that no other object can take its id.  Keying on
-# the function object, not on an Objective field, means a copy of an
-# Objective with another fn (a wrapper or a user function) finds no batch
-# form and is evaluated row by row.
+# (fn, batch form) by id(fn).  Holding fn keeps its id from being reused,
+# and ids also serve unhashable callables.  Keying on the function object,
+# not on an Objective field, means a copy of an Objective with another fn
+# (a wrapper or a user function) finds no batch form and is evaluated row
+# by row.
 _BATCH_FORMS: dict = {}
 
 
@@ -200,7 +200,7 @@ def vectorises(fn: Callable):
 def batch_form(fn: Callable) -> Optional[Callable]:
     """The batch form registered for ``fn``, or None."""
     entry = _BATCH_FORMS.get(id(fn))
-    return entry[1] if entry is not None and entry[0] is fn else None
+    return None if entry is None else entry[1]
 
 
 class EvalCounter:

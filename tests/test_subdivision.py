@@ -178,7 +178,7 @@ class TestBestNeighborRanking:
         assert d.tolist() == [0.0, 0.0]
 
     def test_nan_point_loses_to_infinite_neighbour(self):
-        # -inf under MAX (and +inf under MIN) still beats NaN.
+        # Under MAX, even -inf beats NaN.
         obj = Objective("NANINF", 2, box(-2, 2),
                         lambda q: float("nan") if not q.any() else -np.inf)
         _, d = best_neighbor(make_ctx(obj, sense=Sense.MAX), np.zeros(2), np.ones(2))
