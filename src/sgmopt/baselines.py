@@ -160,7 +160,9 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream,
                 x, fx = best_x, best_v
             sigma = base_sigma * max(np.sqrt(temp / sa.t0), _SA_WIDTH_FLOOR)
             for _ in range(sa.steps_per_temp):
-                prop = clamp(box, x + rng.normal(size=obj.dim) * sigma)
+                # counted_eval checks the shape and the box once, below.
+                prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo),
+                                  box.hi)
                 fp = counted_eval(obj, prop, counter, rng)
                 if better(fp, fx, Sense.MIN) or rng.random() < np.exp(-(fp - fx) / temp):
                     x, fx = prop, fp

@@ -108,7 +108,7 @@ def contains(box: BoxDomain, p) -> bool:
 def box_mask(box: BoxDomain, P) -> np.ndarray:
     """Closed-box membership of each row of the (m, n) batch ``P``, or of
     the one point ``P``; NaN coordinates are outside."""
-    return ((P >= box.lo) & (P <= box.hi)).all(axis=-1)
+    return np.logical_and.reduce((P >= box.lo) & (P <= box.hi), axis=-1)
 
 
 def clamp(box: BoxDomain, p) -> np.ndarray:
@@ -141,7 +141,15 @@ class RngStream:
         return float(self._gen.random())
 
     def uniform(self, lo, hi, size=None):
-        return self._gen.uniform(lo, hi, size=size)
+        """``Generator.uniform(lo, hi, size)``, bit for bit, without its
+        broadcasting overhead; ``size=None`` draws one number per element
+        of the broadcast bounds."""
+        span = np.subtract(hi, lo)
+        if not np.logical_and.reduce(np.isfinite(span), axis=None):
+            raise OverflowError("Range exceeds valid bounds")
+        if size is None:
+            size = np.shape(span) or None
+        return lo + span * self._gen.random(size)
 
     def normal(self, size=None):
         return self._gen.standard_normal(size=size)
@@ -339,16 +347,31 @@ def deviation(best_point, known_optimum) -> tuple:
     return float(np.max(vec)), tuple(float(v) for v in vec)
 
 
+def row_keys(P):
+    """The cache key of each row of the (m, n) float batch ``P``, as a
+    list, or of the one point ``P``: its float64 bytes after adding ``+0.0``,
+    which turns ``-0.0`` into ``0.0``.
+
+    Two finite rows share a key exactly when they are ``==`` elementwise.
+    A NaN row shares its key with a bit-identical twin, although ``==``
+    never holds between them; no solver evaluates one, because ``box_mask``
+    drops NaN rows.  Bytes cache their hash, so each key is hashed once
+    however many dict operations use it.
+    """
+    A = np.ascontiguousarray(P + 0.0)
+    return A.view(f"V{A.shape[-1] * A.itemsize}").reshape(A.shape[:-1]).tolist()
+
+
 class EvalContext:
     """Per-run evaluation state: counter, caching, best-seen tracking, and
     comparison epochs for stochastic objectives.
 
-    Deterministic objectives are memoized for the whole run (repeat points
-    cost no budget).  Stochastic objectives are evaluated under common
-    random numbers: all evaluations inside one epoch share the same noise
-    draw, so candidate-vs-incumbent comparisons within an epoch rank by the
-    noise-free part.  ``new_epoch`` rolls the noise and clears the epoch
-    cache.
+    Deterministic objectives are memoized for the whole run, keyed by
+    ``row_keys`` (repeat points cost no budget).  Stochastic objectives are
+    evaluated under common random numbers: all evaluations inside one epoch
+    share the same noise draw, so candidate-vs-incumbent comparisons within
+    an epoch rank by the noise-free part.  ``new_epoch`` rolls the noise and
+    clears the epoch cache.
     """
 
     def __init__(self, obj: Objective, counter: EvalCounter, rng: RngStream, sense: Sense):
@@ -376,12 +399,14 @@ class EvalContext:
     def value(self, p, key=None) -> float:
         """The objective at ``p``, from the cache when it holds ``p``.
 
-        ``key`` is ``tuple(p.tolist())``, passed by a caller that has
-        already looked it up and missed, so ``p`` is evaluated at once.
+        ``key`` is ``row_keys(p)``, passed by a caller that has already
+        looked it up and missed, so ``p`` is evaluated at once.  Points
+        that are ``==`` elementwise share one entry (``-0.0`` hits ``0.0``);
+        a NaN point hits only a bit-identical NaN point.
         """
         p = np.asarray(p, dtype=float)
         if key is None:
-            key = tuple(p.tolist())
+            key = row_keys(p)
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
@@ -403,15 +428,14 @@ class EvalContext:
         """Yield ``value`` of each row of the (m, n) batch ``P``, in row
         order, evaluating a row only when the caller asks for it.
 
-        Cache hits are looked up here, with keys from one ``P.tolist()``;
+        Cache hits are looked up here, with keys from one ``row_keys`` call;
         each miss goes through ``value``, so a budget running out mid-batch
         raises BudgetExceeded at the same row with the same state, and a
         caller that stops early leaves the later rows unevaluated.
         """
         P = np.asarray(P, dtype=float)
         cache = self._cache
-        for p, row in zip(P, P.tolist()):
-            key = tuple(row)
+        for p, key in zip(P, row_keys(P)):
             hit = cache.get(key)
             yield hit if hit is not None else self.value(p, key)
 
@@ -429,7 +453,7 @@ class EvalContext:
         if self._batch is None:
             return list(self.iter_values(P))
         P = np.asarray(P, dtype=float)
-        keys = [tuple(row) for row in P.tolist()]
+        keys = row_keys(P)
         cache = self._cache
         misses: dict = {}
         for i, key in enumerate(keys):

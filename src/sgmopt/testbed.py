@@ -7,9 +7,11 @@ registered with ``core.vectorises`` that evaluates each row of an (m, n)
 array in one call.  Where a scalar form applies ``**`` to a single number,
 its batch form uses ``np.float_power``, which calls the same libm ``pow``;
 ``np.power`` and ``x * x`` round differently on some points.  Where the
-scalar form already applies ``**`` or ``.sum()`` to an array, the batch form
-does the same along the rows.  tests/test_testbed.py checks that every batch
-form matches its scalar form bit for bit.
+scalar form already applies ``**`` or a sum to an array, the batch form does
+the same along the rows.  The scalar forms sum with ``np.add.reduce``, the
+reduction ``.sum()`` runs, without its Python-level wrapper.
+tests/test_testbed.py checks that every batch form matches its scalar form
+bit for bit.
 
 The Shekel foxholes constants ship as a plain-text data asset
 (``data/foxholes.txt``, 25 rows of "a1 a2") and are verified against their
@@ -83,7 +85,7 @@ def grad_beale(p) -> np.ndarray:
 
 def eval_f1(p) -> float:
     x = np.asarray(p, dtype=float)
-    return float((x * x).sum())
+    return float(np.add.reduce(x * x))
 
 
 @vectorises(eval_f1)
@@ -119,7 +121,7 @@ def grad_f2(p) -> np.ndarray:
 
 def eval_f3(p) -> float:
     x = np.asarray(p, dtype=float)
-    return float(30.0 + np.floor(x).sum())
+    return float(30.0 + np.add.reduce(np.floor(x)))
 
 
 @vectorises(eval_f3)
@@ -130,7 +132,7 @@ def batch_f3(P) -> np.ndarray:
 def f4_deterministic(p) -> float:
     """Noise-free part of F4: sum_i i * x_i^4."""
     x = np.asarray(p, dtype=float)
-    return float((_F4_COEF * x ** 4).sum())
+    return float(np.add.reduce(_F4_COEF * x ** 4))
 
 
 @vectorises(f4_deterministic)
@@ -141,7 +143,7 @@ def batch_f4_deterministic(P) -> np.ndarray:
 def eval_f4(p, rng: RngStream) -> float:
     # One fresh Gauss(0,1) per term per evaluation (30 draws each call).
     x = np.asarray(p, dtype=float)
-    return float((_F4_COEF * x ** 4 + rng.normal(size=30)).sum())
+    return float(np.add.reduce(_F4_COEF * x ** 4 + rng.normal(size=30)))
 
 
 def _load_foxholes() -> np.ndarray:
@@ -172,7 +174,7 @@ def foxholes_matrix() -> np.ndarray:
 def eval_f5(p) -> float:
     x = np.asarray(p, dtype=float)
     d = (x[0] - _FOXHOLES[0]) ** 6 + (x[1] - _FOXHOLES[1]) ** 6
-    return float(1.0 / (0.002 + (1.0 / (_F5_J + d)).sum()))
+    return float(1.0 / (0.002 + np.add.reduce(1.0 / (_F5_J + d))))
 
 
 @vectorises(eval_f5)

@@ -114,6 +114,22 @@ class TestSimulatedAnnealing:
         with pytest.raises(ValueError):
             SaConfig(t_min=20.0).validate()
 
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_proposal_lies_in_the_box(self, name, seed):
+        obj = make_objective(name)
+        fn, seen = obj.fn, []
+
+        def recording(p, *rng):
+            seen.append(p)
+            return fn(p, *rng)
+        r = simulated_annealing(replace(obj, fn=recording), SaConfig(), RngStream(seed, 3))
+        P = np.array(seen)
+        lo, hi = obj.domain.lo, obj.domain.hi
+        assert len(P) == r.evaluations
+        assert ((P >= lo) & (P <= hi)).all()
+        assert ((P == lo) | (P == hi)).any()  # some proposals were clamped
+
     def test_tp1_converges(self):
         obj = make_objective("TP1")
         r = simulated_annealing(obj, SaConfig(), RngStream(11, 0))

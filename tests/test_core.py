@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgmopt.baselines import random_search
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, ObjectiveError, RngStream, Sense, SgmConfig,
                          batch_form, better, clamp, contains, counted_eval,
-                         deviation, vectorises)
+                         deviation, row_keys, vectorises)
 from sgmopt.engine import solve
-from sgmopt.testbed import make_objective
+from sgmopt.testbed import VALID_NAMES, make_objective
 
 
 def box2(lo, hi):
@@ -145,6 +148,33 @@ class TestRngStream:
         assert a.entropy == b.entropy
         assert a.random() == b.random()
 
+    @staticmethod
+    def numpy_twin(*entropy):
+        """The numpy Generator an ``RngStream(*entropy)`` wraps."""
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+    @pytest.mark.parametrize("name", VALID_NAMES)
+    @pytest.mark.parametrize("rows", [None, 1, 512])
+    def test_uniform_matches_generator(self, name, rows):
+        box = make_objective(name).domain
+        size = None if rows is None else (rows, box.dim)
+        ours, numpys = RngStream(9, 1), self.numpy_twin(9, 1)
+        for _ in range(3):
+            got = ours.uniform(box.lo, box.hi, size=size)
+            want = numpys.uniform(box.lo, box.hi, size=size)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_uniform_scalar_bounds(self):
+        assert RngStream(4).uniform(-2.0, 3.0) == self.numpy_twin(4).uniform(-2.0, 3.0)
+
+    def test_uniform_rejects_non_finite_range(self):
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, np.inf])
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(lo, hi)
+        with pytest.raises(OverflowError):
+            RngStream(0).uniform(lo, hi)
+
 
 class TestSgmConfig:
     def test_defaults_validate(self):
@@ -200,6 +230,60 @@ class TestEvalContext:
         v_epoch0 = ctx2.value(a)
         ctx2.new_epoch()
         assert ctx2.value(a) != v_epoch0
+
+
+# Finite coordinates, with signed zeros and a few repeated values drawn
+# often enough that equal rows occur.
+coords = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(allow_nan=False,
+                                                            allow_infinity=False)
+
+
+def batches(rows=st.integers(1, 6), cols=st.integers(1, 30)):
+    return st.tuples(rows, cols).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=coords))
+
+
+class TestRowKeys:
+    @settings(deadline=None)
+    @given(batches())
+    def test_keys_equal_exactly_when_rows_do(self, P):
+        keys = row_keys(P)
+        assert len(keys) == len(P)
+        for i in range(len(P)):
+            for j in range(len(P)):
+                assert (keys[i] == keys[j]) == bool((P[i] == P[j]).all())
+
+    @settings(deadline=None)
+    @given(batches())
+    def test_point_key_is_its_row_key(self, P):
+        keys = row_keys(P)
+        assert [row_keys(p) for p in P] == keys
+        n = P.shape[1]
+        obj = Objective("ZERO", n, BoxDomain(np.full(n, -1.0), np.ones(n)), lambda p: 0.0)
+        ctx = EvalContext(obj, EvalCounter(100), RngStream(0), Sense.MIN)
+        for p in P:
+            ctx.value(p)
+        assert set(ctx._cache) == set(keys)
+        spent = ctx.counter.count
+        list(ctx.iter_values(P))
+        assert ctx.counter.count == spent
+
+    @settings(deadline=None)
+    @given(batches(rows=st.integers(2, 12), cols=st.integers(2, 30)))
+    def test_layout_does_not_change_keys(self, A):
+        views = [A[1:], A[::2], A[:, ::2], A[::-1, 1:], np.asfortranarray(A),
+                 np.asfortranarray(A)[::2, ::3]]
+        for V in views:
+            assert row_keys(V) == row_keys(V.copy(order="C"))
+
+    def test_nan_row_hits_only_its_bit_twin(self):
+        P = np.array([[np.nan, 1.0], [np.nan, 1.0], [-np.nan, 1.0]])
+        keys = row_keys(P)
+        assert keys[0] == keys[1] != keys[2]
+        obj = Objective("SUM", 2, box2(-1.0, 1.0), lambda p: float(np.sum(p)))
+        ctx = EvalContext(obj, EvalCounter(10), RngStream(0), Sense.MIN)
+        assert [np.isnan(v) for v in ctx.iter_values(P)] == [True] * 3
+        assert ctx.counter.count == 2
 
 
 def ctx_state(ctx):
@@ -387,7 +471,10 @@ class TestBatchForm:
         assert isinstance(info.value.__cause__, ZeroDivisionError)
         # Both rows sent to the batch form count; neither is cached.
         assert ctx.counter.count == 3
-        assert ctx_state(ctx)[1:] == ({(1.0, 1.0): 2.0}, repr(np.array([1.0, 1.0])), 2.0)
+        assert list(ctx._cache.values()) == [2.0]
+        assert (repr(ctx.best_point), ctx.best_value) == (repr(np.array([1.0, 1.0])), 2.0)
+        assert ctx.value(np.array([1.0, 1.0])) == 2.0
+        assert ctx.counter.count == 3
 
         # Through solve, ``partial`` reports the first box corner, which
         # phase 1 evaluates alone, and counts its three in-box Moore
