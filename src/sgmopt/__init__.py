@@ -5,7 +5,7 @@ solvers, and benchmark harness."""
 from .core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                    GradientUnavailable, LabelStrategy, Objective,
                    ObjectiveError, RefinementLimit, RngStream, RunResult,
-                   Sense, SgmConfig, clamp, contains, counted_eval)
+                   Sense, SgmConfig, contains, counted_eval)
 from .testbed import foxholes_matrix, gradient, make_objective
 from .engine import default_config, solve
 from .baselines import SaConfig, random_search, reference_table, simulated_annealing
@@ -15,7 +15,7 @@ __all__ = [
     "BoxDomain", "BudgetExceeded", "EvalContext", "EvalCounter",
     "GradientUnavailable", "LabelStrategy", "Objective", "ObjectiveError",
     "RefinementLimit", "RngStream", "RunResult", "Sense", "SgmConfig",
-    "clamp", "contains", "counted_eval", "foxholes_matrix", "gradient",
+    "contains", "counted_eval", "foxholes_matrix", "gradient",
     "make_objective", "default_config", "solve", "SaConfig", "random_search",
     "reference_table", "simulated_annealing", "ExperimentSpec", "Report",
     "png_ratio", "run_experiment",

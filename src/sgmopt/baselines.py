@@ -10,8 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BudgetExceeded, EvalCounter, Objective, RngStream,
-                   RunResult, Sense, batch_form, better, box_mask, clamp,
-                   counted_eval)
+                   RunResult, Sense, batch_form, better, box_mask, counted_eval)
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,10 @@ _SA_WIDTH_FLOOR = 0.02
 _SA_COLD_FRACTION = 0.01
 
 
-def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream,
-                        start=None) -> RunResult:
-    """Metropolis acceptance with geometric cooling; proposals are Gaussian
-    per axis (scaled by axis extent and the annealing width) and clamped to
-    the box.  Returns the best point ever visited."""
+def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) -> RunResult:
+    """Metropolis acceptance with geometric cooling from a uniform draw;
+    proposals are Gaussian per axis (scaled by axis extent and the annealing
+    width) and clamped to the box.  Returns the best point ever visited."""
     sa = sa or SaConfig()
     sa.validate()
     t0_clock = time.perf_counter()
@@ -146,8 +144,7 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream,
         n_temps += 1
         t *= sa.cooling
     counter = EvalCounter(1 + n_temps * sa.steps_per_temp)
-    x = clamp(box, np.asarray(start, dtype=float)) if start is not None \
-        else rng.uniform(box.lo, box.hi)
+    x = rng.uniform(box.lo, box.hi)
     fx = counted_eval(obj, x, counter, rng)
     best_x, best_v = x, fx
     trace = [(0, float(fx), tuple(float(c) for c in x))]

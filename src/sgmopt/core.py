@@ -111,14 +111,6 @@ def box_mask(box: BoxDomain, P) -> np.ndarray:
     return np.logical_and.reduce((P >= box.lo) & (P <= box.hi), axis=-1)
 
 
-def clamp(box: BoxDomain, p) -> np.ndarray:
-    """Project each coordinate onto [lo, hi].  Idempotent."""
-    p = np.asarray(p, dtype=float)
-    if p.size != box.dim:
-        raise ValueError(f"point dim {p.size} != box dim {box.dim}")
-    return np.minimum(np.maximum(p, box.lo), box.hi)
-
-
 class RngStream:
     """Deterministic random stream derived from an integer entropy tuple.
 
@@ -259,6 +251,15 @@ def better(a: float, b: float, sense: Sense) -> bool:
     NaN ranks worst: any non-NaN value beats it, and it beats nothing."""
     beats = a < b if sense is Sense.MIN else a > b
     return beats or (b != b and a == a)
+
+
+def rank(value: float, sense: Sense) -> tuple:
+    """Sort key for ``better``'s order: ``better(a, b, sense)`` exactly
+    when ``rank(a, sense) < rank(b, sense)``.  Every NaN shares one key,
+    which sorts after every number."""
+    if value != value:
+        return (1, 0.0)
+    return (0, value if sense is Sense.MIN else -value)
 
 
 @dataclass

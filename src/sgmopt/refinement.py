@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BudgetExceeded, EvalContext, Sense, SgmConfig, better, box_mask
-from .subdivision import GridCell, Phase1Outcome
+from .core import BudgetExceeded, EvalContext, Sense, SgmConfig, better, box_mask, rank
+from .subdivision import GridCell, Phase1Outcome, index_bits
 
 DIR_FULL_MAX_DIM = 6
 SCALE_MIN = 2.0 ** -24
@@ -38,20 +38,12 @@ class RefineState:
 
 
 def select_best_vertex(outcome: Phase1Outcome, sense: Sense):
-    """Vertex with the best cached value; ties go to the lowest relative
-    coordinates in lexicographic order."""
+    """Vertex with the best ``rank``ed cached value; ties, all-NaN ones
+    included, go to the lowest relative coordinates in lexicographic order."""
     if not outcome.vertices:
         raise ValueError("phase-1 outcome has no labeled vertices")
-    best = None
-    for v in outcome.vertices:
-        if best is None:
-            best = v
-        elif v.value == best.value:
-            if v.rel < best.rel:
-                best = v
-        elif better(v.value, best.value, sense):
-            best = v
-    return best.as_array(), best.value
+    best = min(outcome.vertices, key=lambda v: (rank(v.value, sense), v.rel))
+    return np.asarray(best.point, dtype=float), best.value
 
 
 def diagonal_directions(n: int) -> List[tuple]:
@@ -79,13 +71,7 @@ def sweep_directions(n: int, s=None, center=None) -> List[tuple]:
         flip2 = [-1] * n
         flip2[j] = 1
         dirs.append(tuple(flip2))
-    seen = set()
-    out = []
-    for d in dirs:
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
-    return out
+    return list(dict.fromkeys(dirs))
 
 
 def ray_mutate(s, direction, alpha) -> np.ndarray:
@@ -162,7 +148,7 @@ def crossover_adjacent_sides(cell: GridCell, ray_end) -> np.ndarray:
     as an (n, n) matrix whose row j is the edge along axis j."""
     idx = cell.closest_corner_index(ray_end)
     corner = cell.corner(idx)
-    upper = np.array([(idx >> j) & 1 for j in range(cell.dim)], dtype=bool)
+    upper = np.array(index_bits(idx, cell.dim), dtype=bool)
     across = corner + np.where(upper, -cell.step, cell.step)
     ends = np.where(np.eye(cell.dim, dtype=bool), across, corner)
     return crossover_midpoint(corner, ends)

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   RefinementLimit, Sense, SgmConfig, box_mask)
+                   RefinementLimit, Sense, SgmConfig, box_mask, rank)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
 from . import testbed
@@ -41,6 +41,12 @@ def grid_point(lo: np.ndarray, k, step: np.ndarray) -> np.ndarray:
     identical (lo, k, step) always reproduce bit-identical coordinates.
     """
     return lo + np.asarray(k, dtype=float) * step
+
+
+def index_bits(index: int, n: int) -> list:
+    """Bit j of a corner or child index, for each axis j < n: 1 on the
+    upper side of that axis, 0 on the lower."""
+    return [(index >> j) & 1 for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,8 @@ class GridCell:
     def center(self) -> np.ndarray:
         return self.base + 0.5 * self.step
 
-    def corner_bits(self, index: int) -> np.ndarray:
-        return np.array([(index >> j) & 1 for j in range(self.dim)], dtype=np.int64)
-
     def corner_rel(self, index: int) -> tuple:
-        bits = self.corner_bits(index)
-        return tuple(int(k) + int(b) for k, b in zip(self.base_k, bits))
+        return tuple(k + b for k, b in zip(self.base_k, index_bits(index, self.dim)))
 
     def corner(self, index: int) -> np.ndarray:
         return grid_point(self.lo, self.corner_rel(index), self.step)
@@ -110,8 +112,7 @@ class GridCell:
     def child(self, index: int) -> "GridCell":
         if self.level >= MAX_LEVEL:
             raise RefinementLimit(f"cell at level {self.level} cannot be halved further")
-        bits = [(index >> j) & 1 for j in range(self.dim)]
-        child_k = tuple(2 * k + b for k, b in zip(self.base_k, bits))
+        child_k = tuple(2 * k + b for k, b in zip(self.base_k, index_bits(index, self.dim)))
         return GridCell(self.lo, self.extent, self.level + 1, child_k)
 
     def child_containing(self, p) -> "GridCell":
@@ -131,9 +132,6 @@ class LabeledVertex:
     rel: tuple
     label: int
     value: float
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.point, dtype=float)
 
 
 @dataclass
@@ -235,8 +233,8 @@ def label_vertex(ctx: EvalContext, cell: GridCell, corner_index: int,
     each corner.  Gradient labeling nudges boundary vertices inward so the
     gradient is taken at an interior point.
     """
-    v = cell.corner(corner_index)
     rel = cell.corner_rel(corner_index)
+    v = grid_point(cell.lo, rel, cell.step)
     value = ctx.value(v)
     if config.labeling is LabelStrategy.BEST_NEIGHBOR:
         h = 0.5 * cell.step
@@ -265,29 +263,19 @@ def is_completely_labeled(labels, n: int) -> bool:
     return set(range(n + 1)) <= set(labels)
 
 
-def _select_cell(candidates, labeled, planned_counts, sense):
-    """First completely labeled candidate, else the one with the most
-    distinct labels (ties: best vertex value, then enumeration order)."""
-    n = candidates[0].dim
-    want = set(range(n + 1))
-    for cell, verts, planned in zip(candidates, labeled, planned_counts):
-        if verts and len(verts) == planned and want <= {v.label for v in verts}:
+def _select_cell(candidates, labeled, sense):
+    """First candidate completely labeled over its whole corner plan, else
+    the one with the most distinct labels (ties: best vertex ``rank``, then index)."""
+    want = set(range(candidates[0].dim + 1))
+    for cell, verts in zip(candidates, labeled):
+        if want <= {v.label for v in verts} and len(verts) == len(cell.corner_indices()):
             return cell, verts, True
-    best_idx = None
-    best_key = None
-    for idx, (cell, verts) in enumerate(zip(candidates, labeled)):
-        if not verts:
-            continue
-        distinct = len({v.label for v in verts})
-        vals = [v.value for v in verts]
-        top = min(vals) if sense is Sense.MIN else max(vals)
-        ordered_top = top if sense is Sense.MIN else -top
-        key = (-distinct, ordered_top, idx)
-        if best_key is None or key < best_key:
-            best_key, best_idx = key, idx
-    if best_idx is None:
+    started = [i for i, verts in enumerate(labeled) if verts]
+    if not started:
         return candidates[0], [], False
-    return candidates[best_idx], labeled[best_idx], False
+    i = min(started, key=lambda j: (-len({v.label for v in labeled[j]}),
+                                    min(rank(v.value, sense) for v in labeled[j]), j))
+    return candidates[i], labeled[i], False
 
 
 def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
@@ -310,12 +298,9 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
         ctx.new_epoch()
         label_cache = {}
         labeled = [[] for _ in candidates]
-        planned = []
         try:
             for ci, cell in enumerate(candidates):
-                plan = cell.corner_indices()
-                planned.append(len(plan))
-                for idx in plan:
+                for idx in cell.corner_indices():
                     key = cell.corner_rel(idx)
                     vert = label_cache.get(key)
                     if vert is None:
@@ -324,8 +309,7 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
                     labeled[ci].append(vert)
         except BudgetExceeded:
             budget_hit = True
-            planned += [0] * (len(candidates) - len(planned))
-        sel, verts, comp = _select_cell(candidates, labeled, planned, ctx.sense)
+        sel, verts, comp = _select_cell(candidates, labeled, ctx.sense)
         if verts or r == 0:
             selected, selected_verts, complete = sel, verts, comp
         if trace_sink is not None:

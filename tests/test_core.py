@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from sgmopt.baselines import random_search
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, ObjectiveError, RngStream, Sense, SgmConfig,
-                         batch_form, better, clamp, contains, counted_eval,
-                         deviation, row_keys, vectorises)
+                         batch_form, better, contains, counted_eval,
+                         deviation, rank, row_keys, vectorises)
 from sgmopt.engine import solve
 from sgmopt.testbed import VALID_NAMES, make_objective
 
@@ -47,27 +47,6 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(box2(-1, 1), (0.0, 0.0, 0.0))
-
-
-class TestClamp:
-    def test_projection(self):
-        assert tuple(clamp(box2(-1, 1), (2.0, 0.0))) == (1.0, 0.0)
-
-    def test_identity_inside(self):
-        assert tuple(clamp(box2(-1, 1), (0.5, -0.5))) == (0.5, -0.5)
-
-    def test_lower_clamp_1d(self):
-        b = BoxDomain(np.array([0.0]), np.array([1.0]))
-        assert tuple(clamp(b, (-3.0,))) == (0.0,)
-
-    def test_idempotent_and_contained(self):
-        rng = np.random.default_rng(0)
-        b = box2(-2, 3)
-        for _ in range(200):
-            p = rng.uniform(-100, 100, size=2)
-            q = clamp(b, p)
-            assert contains(b, q)
-            assert np.array_equal(clamp(b, q), q)
 
 
 class TestCountedEval:
@@ -503,9 +482,19 @@ def test_better_is_strict():
     assert not better(1.0, 1.0, Sense.MAX)
 
 
-def test_better_ranks_nan_worst():
+# NaN, +-0.0 and +-inf drawn often, next to ordinary floats.
+ranked_floats = st.one_of(st.sampled_from([float("nan"), 0.0, -0.0, np.inf, -np.inf, 1.0]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(deadline=None, max_examples=500)
+@given(ranked_floats, ranked_floats, st.sampled_from(Sense))
+def test_better_ranks_nan_worst(a, b, sense):
     nan = float("nan")
-    for sense in (Sense.MIN, Sense.MAX):
-        assert better(1.0, nan, sense)
-        assert not better(nan, 1.0, sense)
-        assert not better(nan, nan, sense)
+    assert better(1.0, nan, sense)
+    assert not better(nan, 1.0, sense)
+    assert not better(nan, nan, sense)
+    assert rank(nan, sense) == rank(-nan, sense)
+    assert rank(nan, sense) > max(rank(np.inf, sense), rank(-np.inf, sense))
+    # ``better`` is the strict order of ``rank``.
+    assert better(a, b, sense) == (rank(a, sense) < rank(b, sense))

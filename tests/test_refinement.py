@@ -53,6 +53,18 @@ class TestSelectBestVertex:
         p, _ = select_best_vertex(out, Sense.MIN)
         assert tuple(p) == (-1.0, -1.0)
 
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    def test_nan_ranks_worst_and_all_nan_ties_go_to_lowest_rel(self, sense):
+        nan = float("nan")
+        cell = initial_cell(make_objective("TP1", bounds=1.0).domain)
+        verts = [vertex((1.0, 1.0), (2, 2), 0, nan),
+                 vertex((-1.0, 1.0), (0, 2), 0, nan),
+                 vertex((1.0, -1.0), (2, 0), 0, -np.inf)]
+        p, v = select_best_vertex(Phase1Outcome(cell, verts, 0, 0, False), sense)
+        assert tuple(p) == (1.0, -1.0) and v == -np.inf
+        p, v = select_best_vertex(Phase1Outcome(cell, verts[:2], 0, 0, False), sense)
+        assert tuple(p) == (-1.0, 1.0) and v != v
+
     def test_max_sense(self):
         cell = initial_cell(make_objective("TP1", bounds=1.0).domain)
         out = Phase1Outcome(cell, [

@@ -5,8 +5,9 @@ import pytest
 
 from sgmopt.core import (BoxDomain, EvalContext, EvalCounter, LabelStrategy,
                          Objective, RefinementLimit, RngStream, Sense,
-                         SgmConfig, better, contains)
-from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, best_neighbor, initial_cell,
+                         SgmConfig, better, contains, rank)
+from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
+                                best_neighbor, initial_cell,
                                 is_completely_labeled, label_by_direction,
                                 label_by_gradient, label_vertex, neighborhood,
                                 run_phase1)
@@ -153,8 +154,8 @@ def reference_best(vals, sense):
 
 
 class TestBestNeighborRanking:
-    """best_neighbor picks the same row as ``better`` over values with NaN,
-    +-inf and ties, under both senses."""
+    """best_neighbor picks the same row as ``better``, the first of smallest
+    ``rank``, over values with NaN, +-inf and ties, under both senses."""
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_matches_reference(self, sense):
@@ -168,6 +169,8 @@ class TestBestNeighborRanking:
             obj = Objective("TABLE", 2, box(-2, 2), lambda q: table[tuple(q.tolist())])
             c, d = best_neighbor(make_ctx(obj, sense=sense), p, h)
             want = reference_best(vals.tolist(), sense)
+            # The row ``better`` picks is the first of smallest ``rank``.
+            assert want == min(range(len(P)), key=lambda i: (rank(vals[i], sense), i))
             assert c.tolist() == P[want].tolist(), vals
             assert d.tolist() == (P[want] - p).tolist()
 
@@ -257,6 +260,44 @@ class TestCompletelyLabeled:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             is_completely_labeled([0, 1, 2], 2)
+
+
+def labeled_corners(cell, labels, values):
+    return [LabeledVertex(tuple(cell.corner(i)), cell.corner_rel(i), lab, val)
+            for i, (lab, val) in enumerate(zip(labels, values))]
+
+
+class TestSelectCell:
+    def test_nan_corner_does_not_win(self):
+        # Equal label counts, so the best vertex decides: 1.0 beats 5.0,
+        # although the first candidate lists a NaN corner first.
+        nan = float("nan")
+        cells = initial_cell(box(-1, 1)).subdivide()[:2]
+        labeled = [labeled_corners(cells[0], [0, 1, 0, 1], [nan, 5.0, nan, 5.0]),
+                   labeled_corners(cells[1], [0, 1, 0, 1], [1.0, 2.0, 1.0, 2.0])]
+        cell, verts, complete = _select_cell(cells, labeled, Sense.MIN)
+        assert cell is cells[1] and verts is labeled[1] and not complete
+
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    def test_more_labels_then_rank_then_index(self, sense):
+        nan = float("nan")
+        cells = initial_cell(box(-1, 1)).subdivide()
+        labeled = [labeled_corners(cells[0], [0, 0, 0, 0], [-9.0, 9.0, 0.0, 0.0]),
+                   labeled_corners(cells[1], [0, 1, 1, 0], [nan, nan, nan, nan]),
+                   labeled_corners(cells[2], [0, 1, 1, 0], [2.0, nan, 4.0, 3.0]),
+                   labeled_corners(cells[3], [1, 0, 0, 1], [3.0, 5.0, 3.0, 3.0])]
+        assert _select_cell(cells, labeled, sense)[0] is cells[2 if sense is Sense.MIN else 3]
+        labeled[3] = labeled_corners(cells[3], [1, 0, 0, 1], [2.0, 4.0, 2.0, 2.0])
+        assert _select_cell(cells, labeled, sense)[0] is cells[2]
+
+    def test_complete_cell_needs_its_whole_plan(self):
+        cells = initial_cell(box(-1, 1)).subdivide()[:2]
+        labeled = [labeled_corners(cells[0], [0, 1, 2], [0.0, 0.0, 0.0]),
+                   labeled_corners(cells[1], [2, 1, 0, 0], [9.0, 9.0, 9.0, 9.0])]
+        assert _select_cell(cells, labeled, Sense.MIN) == (cells[1], labeled[1], True)
+        labeled[1] = []
+        assert _select_cell(cells, labeled, Sense.MIN) == (cells[0], labeled[0], False)
+        assert _select_cell(cells, [[], []], Sense.MIN) == (cells[0], [], False)
 
 
 class TestSubdivide:
