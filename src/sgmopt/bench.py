@@ -54,6 +54,14 @@ OVERRIDES = {
 }
 
 
+def _convert(convert, raw, where: str):
+    """``convert(raw)``, with ``where`` leading the message of a rejection."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def apply_overrides(cfg: SgmConfig, overrides: dict) -> SgmConfig:
     """A copy of ``cfg`` with each ``OVERRIDES`` key in ``overrides`` set.
 
@@ -62,7 +70,8 @@ def apply_overrides(cfg: SgmConfig, overrides: dict) -> SgmConfig:
     for key in overrides:
         if key not in OVERRIDES:
             raise ValueError(f"unknown override key {key!r}; valid: {', '.join(OVERRIDES)}")
-    return replace(cfg, **{OVERRIDES[k][0]: OVERRIDES[k][1](v) for k, v in overrides.items()})
+    return replace(cfg, **{OVERRIDES[k][0]: _convert(OVERRIDES[k][1], v, k)
+                           for k, v in overrides.items()})
 
 
 def png_ratio(reference_gens: int, sgm_gens: int) -> int:
@@ -111,36 +120,42 @@ class ExperimentSpec:
             apply_overrides(engine.default_config(func), overrides).validate(obj)
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+_FLAGS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _flag(raw: str) -> bool:
+    if raw.lower() not in _FLAGS:
+        raise ValueError(f"expected true/yes/on/1 or false/no/off/0, got {raw!r}")
+    return _FLAGS[raw.lower()]
+
+
+def _names(raw: str) -> tuple:
+    return tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
+
+
+# Top-level spec keys -> the converter of their value text.  The sa_* keys
+# set the SaConfig fields named in _SA_FIELDS, the others ExperimentSpec's.
+_SPEC_KEYS = {
+    "functions": _names, "algorithms": _names, "outputs": str,
+    "trials": int, "master_seed": int, "workers": int, "rs_budget": int,
+    "emit_svg": _flag, "record_timing": _flag,
+    "sa_t0": float, "sa_cooling": float, "sa_steps": int, "sa_scale": float,
+}
+_SA_FIELDS = {"sa_t0": "t0", "sa_cooling": "cooling", "sa_steps": "steps_per_temp",
+              "sa_scale": "proposal_scale"}
 
 
 def parse_spec_file(path) -> ExperimentSpec:
     """Read a flat ``key = value`` experiment description.
 
-    Recognized keys: functions, algorithms (comma-separated lists), trials,
-    master_seed, outputs, emit_svg, workers, record_timing, rs_budget,
-    sa_t0, sa_cooling, sa_steps, sa_scale, and per-function overrides of the
-    form ``F2.tf = 3`` (keys: those of ``OVERRIDES``).  A ``#`` at the
-    start of a line or after whitespace begins a comment.
+    Each ``_SPEC_KEYS`` key converts its text once; a rejected value raises
+    ValueError naming the file, line and key.  Per-function overrides
+    (``F2.tf = 3``, keys of ``OVERRIDES``) stay text for ``apply_overrides``.
+    A ``#`` at the start of a line or after whitespace begins a comment.
     """
-    spec_kwargs: Dict = {}
+    kwargs: Dict = {}
     overrides: Dict[str, dict] = {}
-    sa_kwargs: Dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = re.sub(r"(^|\s)#.*", "", line).strip()
         if not line:
@@ -148,27 +163,18 @@ def parse_spec_file(path) -> ExperimentSpec:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if "." in key:
             func, _, okey = key.partition(".")
-            overrides.setdefault(func.strip().upper(), {})[okey.strip().lower()] = _parse_value(raw)
-        elif key in ("functions", "algorithms"):
-            spec_kwargs[key] = tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
-        elif key in ("trials", "master_seed", "workers", "rs_budget"):
-            spec_kwargs[key] = int(_parse_value(raw))
-        elif key in ("emit_svg", "record_timing"):
-            spec_kwargs[key] = bool(_parse_value(raw))
-        elif key == "outputs":
-            spec_kwargs[key] = raw.strip()
-        elif key in ("sa_t0", "sa_cooling", "sa_scale"):
-            sa_kwargs[{"sa_t0": "t0", "sa_cooling": "cooling", "sa_scale": "proposal_scale"}[key]] = float(_parse_value(raw))
-        elif key == "sa_steps":
-            sa_kwargs["steps_per_temp"] = int(_parse_value(raw))
+            overrides.setdefault(func.strip().upper(), {})[okey.strip().lower()] = raw
+        elif key in _SPEC_KEYS:
+            kwargs[key] = _convert(_SPEC_KEYS[key], raw, f"{path}:{lineno}: {key}")
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    if "functions" not in spec_kwargs:
+    if "functions" not in kwargs:
         raise ValueError(f"{path}: missing required key 'functions'")
-    spec = ExperimentSpec(overrides=overrides, sa=baselines.SaConfig(**sa_kwargs), **spec_kwargs)
+    sa = baselines.SaConfig(**{f: kwargs.pop(k) for k, f in _SA_FIELDS.items() if k in kwargs})
+    spec = ExperimentSpec(overrides=overrides, sa=sa, **kwargs)
     spec.validate()
     return spec
 
@@ -245,7 +251,8 @@ class _SvgCollector:
 def _run_single(spec: ExperimentSpec, func: str, alg: str, trial: int):
     obj = testbed.make_objective(func)
     rng = RngStream(spec.master_seed, trial)
-    collector = _SvgCollector() if (spec.emit_svg and alg == "SGM" and obj.dim == 2) else None
+    svg = spec.emit_svg and spec.outputs and alg == "SGM" and obj.dim == 2
+    collector = _SvgCollector() if svg else None
     if alg == "SGM":
         cfg = apply_overrides(engine.default_config(func, seed=spec.master_seed),
                               spec.overrides.get(func, {}))
@@ -279,15 +286,8 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             for func in spec.functions
             for alg in spec.algorithms
             for t in range(spec.trials)]
-    results: Dict[tuple, tuple] = {}
-    if spec.workers == 1:
-        for job in jobs:
-            results[job] = _run_single(spec, *job)
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {job: pool.submit(_run_single, spec, *job) for job in jobs}
-            for job, fut in futures.items():
-                results[job] = fut.result()
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        results = dict(zip(jobs, pool.map(lambda job: _run_single(spec, *job), jobs)))
     rows = sorted((results[job][0] for job in jobs), key=TrialRow.sort_key)
     aggregates = compute_aggregates(rows)
     report = Report(rows=rows, aggregates=aggregates,
@@ -297,13 +297,10 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         out.mkdir(parents=True, exist_ok=True)
         emit_csv(report, out / "report.csv")
         emit_json(report, out / "report.json")
-        if spec.emit_svg:
-            for (func, alg, t), (row, result, collector) in results.items():
-                if collector is None:
-                    continue
+        for (func, alg, t), (row, result, collector) in results.items():
+            if collector is not None:
                 path = out / f"trace_{func}_{alg}_{t}.svg"
-                obj = testbed.make_objective(func)
-                emit_svg_trace(collector, obj, result, path)
+                emit_svg_trace(collector, testbed.make_objective(func), result, path)
                 report.svg_paths.append(str(path))
     return report
 

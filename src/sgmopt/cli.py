@@ -64,17 +64,10 @@ def _cmd_solve(args) -> int:
 def _cmd_run(args) -> int:
     try:
         spec = bench.parse_spec_file(args.spec_file)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         report = bench.run_experiment(spec)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
     print(f"{len(report.rows)} trials")
     for agg in report.aggregates:
         png = agg.png if agg.png is not None else "-"

@@ -19,13 +19,12 @@ _FUNCTION_SETTINGS = {
     "F4": dict(tf_rounds=2, trm_max=75, tc_max=30, eval_budget=60_000),
     "F5": dict(tf_rounds=8, trm_max=9, tc_max=2, eval_budget=30_000),
 }
-_GENERIC_SETTINGS = dict(tf_rounds=3, trm_max=50, tc_max=20, eval_budget=10_000)
 
 
 def default_config(obj_or_name, seed: int = 0) -> SgmConfig:
-    """Per-function tuned settings for F1-F5, generic defaults otherwise."""
+    """Per-function tuned settings for F1-F5, SgmConfig's defaults otherwise."""
     name = obj_or_name.name if isinstance(obj_or_name, Objective) else str(obj_or_name)
-    settings = _FUNCTION_SETTINGS.get(name.strip().upper(), _GENERIC_SETTINGS)
+    settings = _FUNCTION_SETTINGS.get(name.strip().upper(), {})
     return SgmConfig(seed=seed, **settings)
 
 

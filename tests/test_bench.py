@@ -1,10 +1,11 @@
 import json
+import re
 import statistics
 from pathlib import Path
 
 import pytest
 
-from sgmopt import cli, engine
+from sgmopt import bench, cli, engine
 from sgmopt.bench import (CSV_AGGREGATE_HEADER, CSV_TRIAL_HEADER, OVERRIDES,
                           ExperimentSpec, compute_aggregates, emit_csv,
                           emit_json, is_success, parse_spec_file,
@@ -51,7 +52,7 @@ sa_t0 = 5.0
         assert spec.master_seed == 11
         assert spec.emit_svg is True
         assert spec.workers == 2
-        assert spec.overrides == {"F2": {"tf": 3, "budget": 5000}}
+        assert spec.overrides == {"F2": {"tf": "3", "budget": "5000"}}
         assert spec.sa.t0 == 5.0
 
     def test_trailing_comments_stripped(self, tmp_path):
@@ -73,7 +74,7 @@ F5.budget = 30000  # budget, labeling
         assert spec.functions == ("F1", "F2", "F5")
         assert spec.outputs == "results/"
         assert spec.workers == 4
-        assert spec.overrides == {"F5": {"tf": 8, "budget": 30000}}
+        assert spec.overrides == {"F5": {"tf": "8", "budget": "30000"}}
 
     def test_hash_inside_a_value_kept(self, tmp_path):
         p = tmp_path / "hash.txt"
@@ -109,6 +110,27 @@ F5.budget = 30000  # budget, labeling
         spec = ExperimentSpec(functions=("F1",), overrides={"F1": {"labeling": "steepest"}})
         with pytest.raises(ValueError, match="best_neighbor, gradient"):
             spec.validate()
+
+    def test_flag_spellings_and_float_from_int_text(self, tmp_path):
+        p = tmp_path / "flags.txt"
+        for raw, value in {"true": True, "yes": True, "on": True, "1": True,
+                           "false": False, "no": False, "off": False, "0": False}.items():
+            for text in (raw, raw.upper(), raw.capitalize()):
+                p.write_text(f"functions = F1\nemit_svg = {text}\nrecord_timing = {text}\n"
+                             "sa_t0 = 5\n")
+                spec = parse_spec_file(p)
+                assert spec.emit_svg is value and spec.record_timing is value
+        assert spec.sa.t0 == 5.0 and isinstance(spec.sa.t0, float)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"An experiment spec is flat.*?```\n(.*?)```", readme, re.S).group(1)
+        p = tmp_path / "readme.txt"
+        p.write_text(block)
+        spec = parse_spec_file(p)
+        assert spec.functions == ("F1", "F2", "F5")
+        assert spec.algorithms == ("SGM", "RS", "SA")
+        assert spec.overrides == {"F5": {"tf": "8", "budget": "30000"}}
 
 
 class TestRunExperiment:
@@ -228,6 +250,14 @@ class TestEmitters:
         assert "<polyline" in svg or "<circle" in svg
         assert "<text" in svg  # vertex labels present
 
+    def test_no_svg_collector_without_outputs(self, monkeypatch):
+        def no_collector():
+            raise AssertionError("SVG snapshots taken with no outputs directory")
+        monkeypatch.setattr(bench, "_SvgCollector", no_collector)
+        spec = ExperimentSpec(functions=("TP1",), algorithms=("SGM",), trials=1,
+                              master_seed=1, emit_svg=True, record_timing=False)
+        assert run_experiment(spec).svg_paths == []
+
     def test_svg_skipped_for_3d(self, tmp_path, capsys):
         out = tmp_path / "svg3"
         spec = ExperimentSpec(functions=("F1",), algorithms=("SGM",), trials=1,
@@ -306,5 +336,27 @@ class TestCli:
         assert cli.main(["run", str(spec_file)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("line", [
+        "trials = 2.5", "trials = yes", "sa_steps = 30.0", "master_seed = true",
+        "emit_svg = maybe", "record_timing = 2", "F1.tf = 2.7"])
+    def test_run_value_its_converter_rejects_exits_1(self, line, tmp_path, capsys):
+        spec_file = tmp_path / "exp.txt"
+        spec_file.write_text(f"functions = F1\ntrials = 1\n{line}\n")
+        assert cli.main(["run", str(spec_file)]) == 1
+        err = capsys.readouterr().err
+        key = line.partition(" =")[0]
+        if key == "F1.tf":
+            # the converter message `sgmopt solve F1 --tf 2.7` prints
+            assert cli.main(["solve", "F1", "--tf", "2.7"]) == 1
+            assert err == capsys.readouterr().err
+            assert err == "error: tf: invalid literal for int() with base 10: '2.7'\n"
+        else:
+            assert err.startswith(f"error: {spec_file}:3: {key}: ")
+            assert err.count("\n") == 1
+
     def test_run_missing_file_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/spec.txt"]) == 2
+
+    def test_run_unreadable_spec_exits_2(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 2  # a directory
+        assert capsys.readouterr().err.startswith("error: ")

@@ -46,7 +46,8 @@ SPHERE_DIGESTS = {
     16: "8451cc06243c2362942b2d450c10f3faaf24d1bd65d048d284110699b3878b5f",
 }
 
-# 10,000 draws cross random search's 4,096-row block boundary twice.
+# 10,000 draws fill 20 of random search's 512-row (RS_BLOCK) blocks, so
+# they cross 19 block boundaries.
 RS_LONG_DIGEST = "288d581b24ad9ad57b79169a5d14c40c978656de1015267d86f932631902c337"
 
 # Sense.MAX, seed 0: TP1's maxima lie on the box boundary, so ray sweeps
