@@ -182,6 +182,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
     stall = 0
     try:
         while True:
+            gens += 1
             ctx.new_epoch()
             state.s_value = ctx.value(state.s)
             dirs = static_dirs if static_dirs is not None else \
@@ -189,7 +190,6 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
             found = ray_sweep(state, ctx, config, dirs)
             if found is None:
                 found = rotational_sweep(state, ctx, config, dirs)
-            gens += 1
             if found is None:
                 if trace_sink is not None:
                     trace_sink(gens, state.s, None, False)
@@ -223,6 +223,5 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
             else:
                 stall = 0
     except BudgetExceeded:
-        gens += 1
         trace.append((trace_offset + gens, floor_value, floor_point))
     return state, gens, trace

@@ -80,7 +80,7 @@ class TestSolve:
         cfg = SgmConfig(**{**default_config("TP1", seed=0).__dict__,
                            "labeling": LabelStrategy.GRADIENT, "eval_budget": 28})
         r = solve(make_objective("TP1"), cfg)
-        assert r.trace[-1] == (5, -36.0, (0.0, 0.0))
+        assert r.trace[-1] == (4, -36.0, (0.0, 0.0))
         assert r.trace.count(r.trace[-1]) == 1
 
     @pytest.mark.parametrize("name", ["TP1", "BEALE"])
@@ -90,8 +90,13 @@ class TestSolve:
         for budget in range(5, 80):
             cfg = SgmConfig(**{**default_config(name, seed=0).__dict__,
                                "labeling": labeling, "eval_budget": budget})
-            trace = solve(obj, cfg).trace
+            r = solve(obj, cfg)
+            trace = r.trace
             assert all(a != b for a, b in zip(trace, trace[1:])), budget
+            # one row per generation; only the engine's final row may repeat one
+            rises = [b[0] - a[0] for a, b in zip(trace, trace[1:])]
+            assert set(rises[:-1]) <= {1} and set(rises[-1:]) <= {0, 1}, budget
+            assert r.generations == trace[-1][0], budget
 
     def test_max_sense_duality(self):
         obj = make_objective("F2")

@@ -75,7 +75,7 @@ BUDGET_OUT_DIGESTS = {
 # inside a crossover batch.  Under BEST_NEIGHBOR the crossover midpoints
 # are cache hits (phase 1's Moore neighbourhoods hold every edge midpoint),
 # so only GRADIENT labeling reaches this path.
-CROSSOVER_BUDGET_OUT_DIGEST = "0ee477d8ba75444600179ead1a2ba1dee2fa3bdd6be310df46a1474f589a0a9b"
+CROSSOVER_BUDGET_OUT_DIGEST = "5f339fc539cdeedb7f4164c0a7f7ef21a957418f7c465cbe71b1a70f543c20b9"
 
 SA_DIGESTS = {
     "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
