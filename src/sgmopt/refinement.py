@@ -1,6 +1,7 @@
 """Incumbent refinement phase: diagonal ray mutation from the best cell
-vertex, a rotational sweep over the remaining diagonal directions, and
-midpoint crossover of the cell edges around each accepted candidate.
+vertex, rotation over every swept direction but the last when no ray
+improves, and midpoint crossover of the cell edges around each accepted
+candidate.
 
 The ray and rotation lengths carry a mesh scale that halves whenever a full
 sweep fails to improve the incumbent; without that refinement the fixed
@@ -30,10 +31,8 @@ STALL_LIMIT = 3
 class RefineState:
     s: np.ndarray
     s_value: float
-    cell: GridCell
     rotations_used: int = 0
     crossovers_used: int = 0
-    last_ray: Optional[Tuple[tuple, float]] = None
     scale: float = 1.0
 
 
@@ -85,53 +84,38 @@ def ray_mutate(s, direction, alpha) -> np.ndarray:
     return np.asarray(s, dtype=float) + alpha * np.asarray(direction, dtype=float)
 
 
-def ray_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
-              directions) -> Optional[Tuple[np.ndarray, float]]:
-    """Try rays of length 1x..10x alpha_base (times the mesh scale) along
-    each direction in turn; the first strictly better feasible endpoint
-    wins.  Endpoints outside the box are skipped without costing an
-    evaluation.  ``state.last_ray`` ends at the candidate the sweep stopped
-    on: the winner, the one the budget ran out at, or the last one."""
-    dirs = [tuple(d) for d in directions]
+def _first_better(ctx: EvalContext, P, s_value: float, limit=None):
+    """The first of at most ``limit`` feasible rows of ``P`` strictly better
+    than ``s_value``, as (row, value) or None, and the feasible rows walked.
+    Rows outside the box cost no evaluation."""
+    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:limit]
+    for walked, v in enumerate(ctx.iter_values(P[rows]), 1):
+        if better(v, s_value, ctx.sense):
+            return (P[rows[walked - 1]], v), walked
+    return None, len(rows)
+
+
+def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
+          directions) -> Optional[Tuple[np.ndarray, float]]:
+    """The first strictly better feasible candidate, or None: rays along each
+    direction in turn at 1x..10x alpha_base, then, only if no ray improves,
+    rotations at each beta over every direction but the last, both lengths
+    times the mesh scale.  Each rotation walked, cache hits included,
+    counts toward trm_max; a budget stop leaves ``rotations_used`` as is."""
+    dirs = np.asarray(directions, dtype=float)
     alphas = np.arange(1, 11) * config.alpha_base * state.scale
-    P = ray_mutate(state.s, np.repeat(dirs, 10, axis=0),
-                   np.tile(alphas, len(dirs))[:, None])
-    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))
-    walked = 0
-    try:
-        for v in ctx.iter_values(P[rows]):
-            if better(v, state.s_value, ctx.sense):
-                return P[rows[walked]], v
-            walked += 1
-        return None
-    finally:
-        i = rows[walked] if walked < len(rows) else len(P) - 1
-        state.last_ray = (dirs[i // 10], float(alphas[i % 10]))
-
-
-def rotational_sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
-                     directions) -> Optional[Tuple[np.ndarray, float]]:
-    """Rotate through the remaining diagonals at each beta length (times the
-    mesh scale).  Every evaluated candidate counts against trm_max; the
-    first strict improvement is returned."""
+    rays = ray_mutate(state.s, np.repeat(dirs, 10, axis=0),
+                      np.tile(alphas, len(dirs))[:, None])
+    found, _ = _first_better(ctx, rays, state.s_value)
     left = config.trm_max - state.rotations_used
-    skip = state.last_ray[0] if state.last_ray is not None else None
-    dirs = [e for e in directions if tuple(e) != skip]
-    if left <= 0 or not dirs:
-        return None
+    if found is not None or left <= 0:
+        return found
     betas = np.asarray(config.beta_sweep, dtype=float) * state.scale
-    P = ray_mutate(state.s, np.tile(dirs, (len(betas), 1)),
-                   np.repeat(betas, len(dirs))[:, None])
-    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:left]
-    used = 0
-    try:
-        for v in ctx.iter_values(P[rows]):
-            used += 1
-            if better(v, state.s_value, ctx.sense):
-                return P[rows[used - 1]], v
-        return None
-    finally:
-        state.rotations_used += used
+    rotations = ray_mutate(state.s, np.tile(dirs[:-1], (len(betas), 1)),
+                           np.repeat(betas, len(dirs) - 1)[:, None])
+    found, walked = _first_better(ctx, rotations, state.s_value, left)
+    state.rotations_used += walked
+    return found
 
 
 def crossover_midpoint(p1, p2) -> np.ndarray:
@@ -158,70 +142,57 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
                trace_sink=None, trace_offset: int = 0):
     """Refine the best phase-1 vertex.
 
-    Each outer iteration: (a) ray sweeps over the diagonal directions,
-    all-ones first; (b) on failure, the rotational sweep; (c) on success at
-    p, midpoint crossover around p and the incumbent moves to the best of
-    {s, p, midpoints}.  A fully failed iteration halves the mesh scale.
+    Each outer iteration is one ``sweep`` from the incumbent s: ray
+    mutation along the diagonal directions, all-ones first, and, when no
+    ray improves, rotation over every swept direction but the last (for
+    n <= 6 that leaves out the all -1 diagonal).  On success at p, midpoint
+    crossover around p, and the incumbent moves to the best of {p,
+    midpoints}.  A fully failed iteration halves the mesh scale.
     Termination: the scale bottoms out with nothing better, three
     consecutive sub-tolerance improvements, or budget exhaustion.
 
-    Returns (state, generations, trace_rows).  Each row carries the best
-    value seen so far, starting from the best point evaluated before phase
-    2, so the rows never get worse.
+    Returns (state, generations, trace_rows), with one generation and one
+    row per iteration, one the budget interrupted included.  Each row
+    carries the best value seen so far, starting from the best point
+    evaluated before phase 2, so the rows never get worse.
     """
     s, s_value = select_best_vertex(outcome, ctx.sense)
-    state = RefineState(s=s, s_value=s_value, cell=outcome.cell)
+    state = RefineState(s=s, s_value=s_value)
     trace = []
-    gens = 0
     if config.trm_max == 0 and config.tc_max == 0:
         return state, 0, trace
-    n = obj.dim
-    static_dirs = sweep_directions(n) if n <= DIR_FULL_MAX_DIM else None
     floor_value = ctx.best_value
     floor_point = tuple(float(c) for c in ctx.best_point)
-    stall = 0
-    try:
-        while True:
-            gens += 1
+    gens = stall = 0
+    done = False
+    while not done:
+        gens += 1
+        try:
             ctx.new_epoch()
             state.s_value = ctx.value(state.s)
-            dirs = static_dirs if static_dirs is not None else \
-                sweep_directions(n, state.s, obj.domain.center)
-            found = ray_sweep(state, ctx, config, dirs)
-            if found is None:
-                found = rotational_sweep(state, ctx, config, dirs)
-            if found is None:
-                if trace_sink is not None:
-                    trace_sink(gens, state.s, None, False)
-                trace.append((trace_offset + gens, floor_value, floor_point))
-                if state.scale <= SCALE_MIN:
-                    break
+            dirs = sweep_directions(obj.dim, state.s, obj.domain.center)
+            found = sweep(state, ctx, config, dirs)
+            p = found[0] if found else None
+            if p is None:
+                done = state.scale <= SCALE_MIN
                 state.scale *= 0.5
-                continue
-            p, pv = found
-            pool = [(p, pv)]
-            if state.crossovers_used < config.tc_max:
-                state.crossovers_used += 1
-                mids = crossover_adjacent_sides(state.cell, p)
-                mids = mids[box_mask(obj.domain, mids)]
-                pool += zip(mids, ctx.values(mids))
-            new_s, new_v = state.s, state.s_value
-            for q, qv in pool:
-                if better(qv, new_v, ctx.sense):
-                    new_s, new_v = q, qv
-            improvement = abs(new_v - state.s_value)
-            state.s, state.s_value = np.asarray(new_s, dtype=float), new_v
-            if better(new_v, floor_value, ctx.sense):
-                floor_value, floor_point = new_v, tuple(float(c) for c in state.s)
-            if trace_sink is not None:
-                trace_sink(gens, state.s, p, True)
-            trace.append((trace_offset + gens, floor_value, floor_point))
-            if improvement < config.tolerance:
-                stall += 1
-                if stall >= STALL_LIMIT:
-                    break
             else:
-                stall = 0
-    except BudgetExceeded:
+                pool = [found]
+                if state.crossovers_used < config.tc_max:
+                    state.crossovers_used += 1
+                    mids = crossover_adjacent_sides(outcome.cell, p)
+                    mids = mids[box_mask(obj.domain, mids)]
+                    pool += zip(mids, ctx.values(mids))
+                new_s, new_v = min(pool, key=lambda q: rank(q[1], ctx.sense))
+                improvement = abs(new_v - state.s_value)
+                state.s, state.s_value = np.asarray(new_s, dtype=float), new_v
+                if better(new_v, floor_value, ctx.sense):
+                    floor_value, floor_point = new_v, tuple(float(c) for c in state.s)
+                stall = stall + 1 if improvement < config.tolerance else 0
+                done = stall >= STALL_LIMIT
+            if trace_sink is not None:
+                trace_sink(gens, state.s, p, p is not None)
+        except BudgetExceeded:
+            done = True
         trace.append((trace_offset + gens, floor_value, floor_point))
     return state, gens, trace

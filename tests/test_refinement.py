@@ -5,9 +5,8 @@ from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, RngStream, Sense, SgmConfig, better)
 from sgmopt.refinement import (DIR_FULL_MAX_DIM, RefineState,
                                crossover_adjacent_sides, crossover_midpoint,
-                               diagonal_directions, ray_mutate, ray_sweep,
-                               rotational_sweep, run_phase2, select_best_vertex,
-                               sweep_directions)
+                               diagonal_directions, ray_mutate, run_phase2,
+                               select_best_vertex, sweep, sweep_directions)
 from sgmopt.subdivision import (LabeledVertex, Phase1Outcome, initial_cell,
                                 run_phase1)
 from sgmopt.testbed import make_objective
@@ -120,80 +119,83 @@ class TestRayMutate:
             assert np.linalg.norm(step) == pytest.approx(alpha * np.sqrt(n))
 
 
+def needle_at_origin():
+    """-1 at the origin exactly, 0 everywhere else: no ray from
+    (0.25, -0.25) lands on it, the rotation at beta 0.25 along (-1, 1)
+    does."""
+    return Objective(name="NEEDLE", dim=2, domain=BoxDomain(np.full(2, -1.0), np.ones(2)),
+                     fn=lambda p: -1.0 if not p.any() else 0.0)
+
+
 class TestAlphaSweep:
     def test_tp1_first_improvement(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
-        state = RefineState(s=np.array([0.5, 0.5]), s_value=obj.fn(np.array([0.5, 0.5])),
-                            cell=initial_cell(obj.domain))
-        got = ray_sweep(state, ctx, SgmConfig(), [(-1, -1)])
+        state = RefineState(s=np.array([0.5, 0.5]), s_value=obj.fn(np.array([0.5, 0.5])))
+        got = sweep(state, ctx, SgmConfig(), [(-1, -1)])
         assert got is not None
         p, v = got
         assert tuple(p) == (0.4, 0.4)
         assert v < state.s_value
+        assert state.rotations_used == 0  # a ray won, so no rotation was tried
 
     def test_no_improvement_from_optimum(self):
         obj = make_objective("F1")
         ctx = make_ctx(obj)
-        state = RefineState(s=np.zeros(3), s_value=0.0, cell=initial_cell(obj.domain))
-        for d in diagonal_directions(3):
-            assert ray_sweep(state, ctx, SgmConfig(), [d]) is None
+        state = RefineState(s=np.zeros(3), s_value=0.0)
+        assert sweep(state, ctx, SgmConfig(), diagonal_directions(3)) is None
 
     def test_all_endpoints_infeasible(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
-        state = RefineState(s=np.array([1.0, 1.0]), s_value=obj.fn(np.array([1.0, 1.0])),
-                            cell=initial_cell(obj.domain))
+        state = RefineState(s=np.array([1.0, 1.0]), s_value=obj.fn(np.array([1.0, 1.0])))
         before = ctx.counter.count
-        assert ray_sweep(state, ctx, SgmConfig(), [(1, 1)]) is None
+        assert sweep(state, ctx, SgmConfig(), [(1, 1)]) is None
         assert ctx.counter.count == before  # infeasible candidates cost nothing
 
 
 class TestRotationalSweep:
     def test_finds_origin(self):
-        obj = make_objective("TP1", bounds=1.0)
+        obj = needle_at_origin()
         ctx = make_ctx(obj)
-        s = np.array([0.1, -0.1])
-        state = RefineState(s=s, s_value=obj.fn(s), cell=initial_cell(obj.domain))
-        got = rotational_sweep(state, ctx, SgmConfig(), diagonal_directions(2))
+        state = RefineState(s=np.array([0.25, -0.25]), s_value=0.0)
+        got = sweep(state, ctx, SgmConfig(), diagonal_directions(2))
         assert got is not None
         p, v = got
-        assert tuple(p) == (0.0, 0.0)
-        assert v == -36.0
+        assert tuple(p) == (0.0, 0.0) and v == -1.0
+        # beta 0.1 along (1, 1), (1, -1), (-1, 1), then beta 0.25 to (-1, 1)
+        assert state.rotations_used == 6
 
     def test_cap_exhausted(self):
-        obj = make_objective("TP1", bounds=1.0)
+        obj = needle_at_origin()
         ctx = make_ctx(obj)
-        s = np.array([0.1, -0.1])
-        state = RefineState(s=s, s_value=obj.fn(s), cell=initial_cell(obj.domain),
-                            rotations_used=5)
+        state = RefineState(s=np.array([0.25, -0.25]), s_value=0.0, rotations_used=5)
         cfg = SgmConfig(trm_max=5)
-        assert rotational_sweep(state, ctx, cfg, diagonal_directions(2)) is None
+        assert sweep(state, ctx, cfg, diagonal_directions(2)) is None
+        assert state.rotations_used == 5
 
     def test_no_improvement_at_optimum(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
-        state = RefineState(s=np.zeros(2), s_value=-36.0, cell=initial_cell(obj.domain))
-        assert rotational_sweep(state, ctx, SgmConfig(), diagonal_directions(2)) is None
+        state = RefineState(s=np.zeros(2), s_value=-36.0)
+        assert sweep(state, ctx, SgmConfig(), diagonal_directions(2)) is None
         assert state.rotations_used > 0
 
     def test_counts_candidates_tried(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
-        state = RefineState(s=np.zeros(2), s_value=-36.0, cell=initial_cell(obj.domain))
+        state = RefineState(s=np.zeros(2), s_value=-36.0)
         cfg = SgmConfig(trm_max=7)
-        rotational_sweep(state, ctx, cfg, diagonal_directions(2))
+        sweep(state, ctx, cfg, diagonal_directions(2))
         assert state.rotations_used == 7
 
 
-def reference_ray_sweep(state, ctx, config, directions):
-    """One candidate at a time: the loop the batched ``ray_sweep`` must
-    reproduce."""
+def reference_rays(state, ctx, config, directions):
+    """The ray loop, one candidate at a time: each direction at 1x..10x
+    alpha_base."""
     for d in directions:
         for m in range(1, 11):
-            alpha = m * config.alpha_base * state.scale
-            p = ray_mutate(state.s, d, alpha)
-            state.last_ray = (tuple(d), alpha)
+            p = ray_mutate(state.s, d, m * config.alpha_base * state.scale)
             if not ctx.feasible(p):
                 continue
             v = ctx.value(p)
@@ -202,35 +204,49 @@ def reference_ray_sweep(state, ctx, config, directions):
     return None
 
 
-def reference_rotational_sweep(state, ctx, config, directions):
-    """One candidate at a time, checking trm_max before each."""
-    skip = state.last_ray[0] if state.last_ray is not None else None
+def reference_rotations(state, ctx, config, directions):
+    """The rotation loop, one candidate at a time: each beta over every
+    direction but the last, checking trm_max before each candidate.  It
+    adds the rotations it used to ``state.rotations_used`` when it returns,
+    so a budget stop leaves the count as it was."""
+    used = 0
     for beta in config.beta_sweep:
-        for e in directions:
-            if skip is not None and tuple(e) == skip:
-                continue
-            if state.rotations_used >= config.trm_max:
-                return None
+        for e in directions[:-1]:
+            if state.rotations_used + used >= config.trm_max:
+                break
             p = ray_mutate(state.s, e, beta * state.scale)
             if not ctx.feasible(p):
                 continue
             v = ctx.value(p)
-            state.rotations_used += 1
+            used += 1
             if better(v, state.s_value, ctx.sense):
+                state.rotations_used += used
                 return p, v
+    state.rotations_used += used
     return None
 
 
-def objective_in_box(n, sense, steps):
-    """A sphere, or with ``steps`` a staircase with many ties, around a
-    shifted optimum in an asymmetric box."""
+def reference_sweep(state, ctx, config, directions):
+    """The point-by-point sweep ``sweep`` must reproduce: the ray loop,
+    then, with no ray better, the rotation loop."""
+    return (reference_rays(state, ctx, config, directions)
+            or reference_rotations(state, ctx, config, directions))
+
+
+def objective_in_box(n, sense, kind):
+    """A sphere, a staircase with many ties, or a needle, in an asymmetric
+    box.  The sphere and the staircase sit around a shifted optimum.  The
+    needle improves only at 0.25 past the lower corner along all-ones: from
+    that corner no ray lands on it at scale 1, but a rotation does."""
     lo, hi = np.full(n, -2.0), np.full(n, 3.0)
     lo[0] = -1.5
     shift = np.random.default_rng(n).uniform(lo, hi)
     sign = 1.0 if sense is Sense.MIN else -1.0
 
     def fn(p):
-        if steps:
+        if kind == "needle":
+            return -sign if np.array_equal(p, lo + 0.25) else 0.0
+        if kind == "steps":
             return sign * float(np.sum(np.floor(2.0 * np.abs(p - shift))))
         return sign * float(np.sum((p - shift) ** 2))
     return Objective(name=f"S{n}", dim=n, domain=BoxDomain(lo, hi), fn=fn), shift
@@ -239,12 +255,14 @@ def objective_in_box(n, sense, steps):
 def sweep_cases(n):
     """(objective, sense, incumbent, scale, trm_max, budget, warm-up points):
     incumbents on the box boundary, inside it and at the optimum (where no
-    candidate improves), caps that stop the rotational sweep mid-batch,
-    budgets that run out mid-sweep, and warm-up points that put some of
-    the sweeps' candidates in the cache beforehand."""
+    candidate improves), caps that stop the rotations mid-batch, budgets
+    that run out mid-sweep (10 does so in the rotations from the lower
+    corner), and warm-up points that put some of the sweep's candidates in
+    the cache beforehand."""
     cases = []
-    for sense, steps in ((Sense.MIN, False), (Sense.MAX, False), (Sense.MIN, True)):
-        obj, shift = objective_in_box(n, sense, steps)
+    for sense, kind in ((Sense.MIN, "sphere"), (Sense.MAX, "sphere"),
+                        (Sense.MIN, "steps"), (Sense.MAX, "needle")):
+        obj, shift = objective_in_box(n, sense, kind)
         lo, hi = obj.domain.lo, obj.domain.hi
         mixed = np.where(np.arange(n) % 2 == 0, lo, hi)
         inner = lo + 0.3 * (hi - lo)
@@ -253,57 +271,35 @@ def sweep_cases(n):
             warm = [s + 0.2 * d0, s - 0.1 * d0, s + 0.1 * d0]
             for scale in (1.0, 0.25):
                 for trm, budget in ((50, 100_000), (3, 100_000), (0, 100_000),
-                                    (50, 5), (50, 17)):
+                                    (50, 5), (50, 10), (50, 17)):
                     cases.append((obj, sense, s, scale, trm, budget, warm))
     return cases
 
 
-def sweep_run(sweep, ctx, state, config, dirs):
+def sweep_run(sweep_fn, ctx, state, config, dirs):
     """Outcome of one sweep plus every piece of state it may touch."""
+    count = ctx.counter.count
     try:
-        got = sweep(state, ctx, config, dirs)
+        got = sweep_fn(state, ctx, config, dirs)
         out = None if got is None else (repr(got[0].tolist()), got[1])
     except BudgetExceeded:
         out = "budget"
     return out, (ctx.counter.count, dict(ctx._cache), repr(ctx.best_point),
-                 ctx.best_value, state.rotations_used, state.last_ray)
+                 ctx.best_value, state.rotations_used), ctx.counter.count - count
 
 
-def sweep_start(obj, sense, s, scale, budget, warm, last_ray=None):
+def sweep_start(case):
+    """The case's directions, config, and a context and state with the
+    warm-up points evaluated."""
+    obj, sense, s, scale, trm, budget, warm = case
     ctx = make_ctx(obj, budget=budget, sense=sense)
     for p in warm:
         if ctx.feasible(p) and ctx.counter.remaining > 1:
             ctx.value(p)
     s_value = ctx.value(s) if obj.stochastic else obj.fn(s)
-    state = RefineState(s=s.copy(), s_value=s_value, cell=initial_cell(obj.domain),
-                        scale=scale, last_ray=last_ray)
-    return ctx, state
-
-
-def sweep_sequences(case):
-    """The directions of one case and its sweep sequences, each as (sweeps,
-    last_ray at the start): a ray sweep and then a rotational sweep, as
-    run_phase2 runs them, and a rotational sweep alone, skipping the last
-    direction."""
-    obj, sense, s, scale, trm, budget, warm = case
+    state = RefineState(s=s.copy(), s_value=s_value, scale=scale)
     dirs = sweep_directions(obj.dim, s, obj.domain.center)
-    return dirs, [(("ray", "rot"), None), (("rot",), (dirs[-1], 1.0))]
-
-
-BATCHED = {"ray": ray_sweep, "rot": rotational_sweep}
-REFERENCE = {"ray": reference_ray_sweep, "rot": reference_rotational_sweep}
-
-
-def run_sequence(impl, case, dirs, kinds, last_ray):
-    obj, sense, s, scale, trm, budget, warm = case
-    config = SgmConfig(sense=sense, trm_max=trm)
-    ctx, state = sweep_start(obj, sense, s, scale, budget, warm, last_ray)
-    out = []
-    for kind in kinds:
-        count = ctx.counter.count
-        out.append(sweep_run(impl[kind], ctx, state, config, dirs))
-        out[-1] += (ctx.counter.count - count,)
-    return out
+    return dirs, SgmConfig(sense=sense, trm_max=trm), ctx, state
 
 
 def all_cases(n):
@@ -317,32 +313,35 @@ class TestSweepsMatchReference:
     @pytest.mark.parametrize("n", list(range(1, 9)) + [30])
     def test_batched_equals_reference(self, n):
         for case in all_cases(n):
-            dirs, sequences = sweep_sequences(case)
+            runs = []
+            for sweep_fn in (sweep, reference_sweep):
+                dirs, config, ctx, state = sweep_start(case)
+                runs.append(sweep_run(sweep_fn, ctx, state, config, dirs))
             if n > DIR_FULL_MAX_DIM:
                 assert len(dirs) < 2 ** n
-            for kinds, last_ray in sequences:
-                got = run_sequence(BATCHED, case, dirs, kinds, last_ray)
-                want = run_sequence(REFERENCE, case, dirs, kinds, last_ray)
-                assert got == want, (n, kinds, case[1:6])
+            assert runs[0] == runs[1], (n, case[1:6])
 
     def test_cases_reach_every_stop(self):
-        """The cases stop where batching could go wrong: at an improvement,
-        at the budget, at the end of the sweep, and at the rotation cap
-        with candidates left, where cache hits counted toward trm_max."""
+        """In each block the cases stop where batching could go wrong: at
+        an improvement, at the budget, at the end of the block, and in the
+        rotations at the cap with candidates left, where cache hits
+        counted toward trm_max."""
         stops = set()
         for n in (2, 7):
             for case in sweep_cases(n):
-                trm = case[4]
-                dirs, sequences = sweep_sequences(case)
-                for kinds, last_ray in sequences:
-                    run = run_sequence(REFERENCE, case, dirs, kinds, last_ray)
-                    for kind, (out, state, evaluated) in zip(kinds, run):
-                        stops.add((kind, out if out in (None, "budget") else "better"))
-                        used = state[4]
-                        if kind == "rot" and out is None and 0 < used == trm:
-                            stops.add(("rot", "cap"))
-                            if evaluated < used:
-                                stops.add(("rot", "cap with hits"))
+                dirs, config, ctx, state = sweep_start(case)
+                out, _, _ = sweep_run(reference_rays, ctx, state, config, dirs)
+                stops.add(("ray", out if out in (None, "budget") else "better"))
+                if out is not None:
+                    continue
+                out, after, evaluated = sweep_run(reference_rotations, ctx, state,
+                                                  config, dirs)
+                stops.add(("rot", out if out in (None, "budget") else "better"))
+                used = after[4]
+                if out is None and 0 < used == config.trm_max:
+                    stops.add(("rot", "cap"))
+                    if evaluated < used:
+                        stops.add(("rot", "cap with hits"))
         assert stops >= {("ray", "better"), ("ray", None), ("ray", "budget"),
                          ("rot", "better"), ("rot", None), ("rot", "budget"),
                          ("rot", "cap"), ("rot", "cap with hits")}
