@@ -332,12 +332,15 @@ def _fmt(v: float) -> str:
 
 def _atomic_write(path: Path, text: str):
     path = Path(path)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 

@@ -219,6 +219,14 @@ class TestEmitters:
         assert path.read_text() == CSV_TRIAL_HEADER + "\n"
         assert path.with_name("empty_aggregate.csv").read_text() == CSV_AGGREGATE_HEADER + "\n"
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        from sgmopt.bench import Report
+        path = tmp_path / "report.csv"
+        path.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError, match="failed writing"):
+            emit_csv(Report(rows=[], aggregates=[], png_row={}), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
     def test_json_mirrors_rows(self, tmp_path):
         rep = self._small_report()
         path = tmp_path / "out.json"
