@@ -111,7 +111,7 @@ def _cmd_validate(_args) -> int:
         cell = subdivision.initial_cell(obj.domain)
         got = {}
         for idx in range(4):
-            v = subdivision.label_vertex(ctx, cell, idx, cfg)
+            v = subdivision.label_vertex(ctx, cell, cell.corner_rel(idx), cfg)
             got[v.point] = v.label
         expect = {(-1.0, 1.0): 2, (1.0, 1.0): 2, (-1.0, -1.0): 0, (1.0, -1.0): 1}
         assert got == expect, f"labels {got} != {expect}"
@@ -122,7 +122,7 @@ def _cmd_validate(_args) -> int:
             obj = testbed.make_objective(name)
             for _ in range(20):
                 x = rng.uniform(obj.domain.lo * 0.9, obj.domain.hi * 0.9)
-                g = testbed.gradient(obj, x)
+                g = obj.gradient_fn(x)
                 fd = testbed.finite_difference_gradient(obj.fn, x)
                 scale = max(1.0, float(np.max(np.abs(fd))))
                 assert np.max(np.abs(g - fd)) / scale < 1e-4

@@ -26,11 +26,6 @@ class BudgetExceeded(Exception):
     """
 
 
-class GradientUnavailable(Exception):
-    """Raised for objectives with no usable gradient (piecewise constant or
-    stochastic functions)."""
-
-
 class RefinementLimit(Exception):
     """Raised when a grid cell would be halved past the exactness limit."""
 
@@ -307,6 +302,8 @@ class SgmConfig:
                 raise ValueError("alpha_base*10 exceeds the largest domain extent")
             if self.labeling is LabelStrategy.GRADIENT and obj.gradient_fn is None:
                 raise ValueError(f"{obj.name} has no gradient; use BEST_NEIGHBOR labeling")
+            if self.labeling is LabelStrategy.GRADIENT and obj.stochastic:
+                raise ValueError(f"{obj.name} is stochastic; use BEST_NEIGHBOR labeling")
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
                    RefinementLimit, Sense, SgmConfig, box_mask, rank)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
-from . import testbed
 
 # Full Moore neighborhoods / corner enumerations are exponential in the
 # dimension; above these limits a deterministic structured subset is used.
@@ -118,12 +117,6 @@ class GridCell:
     def child_containing(self, p) -> "GridCell":
         """The child holding p; points on the split plane go to the lower child."""
         return self.child(self.closest_corner_index(p))
-
-    def contains_point(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        lo = self.base
-        hi = self.base + self.step
-        return bool(np.all(p >= lo) and np.all(p <= hi))
 
 
 @dataclass(frozen=True)
@@ -224,16 +217,17 @@ def label_by_gradient(w) -> int:
     return 0 if neg.size == 0 else int(neg[0]) + 1
 
 
-def label_vertex(ctx: EvalContext, cell: GridCell, corner_index: int,
+def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
                  config: SgmConfig) -> LabeledVertex:
-    """Label one corner of a cell.
+    """Label the vertex of ``cell``'s grid at integer grid coordinates
+    ``rel`` (a corner's ``cell.corner_rel(index)``).
 
     The neighborhood step is half the cell step (the next grid's spacing):
     labels then mirror where the refined grid's improvement step would move
-    each corner.  Gradient labeling nudges boundary vertices inward so the
-    gradient is taken at an interior point.
+    each corner.  Gradient labeling reads ``ctx.obj.gradient_fn``, after
+    nudging boundary vertices inward so the gradient is taken at an
+    interior point.
     """
-    rel = cell.corner_rel(corner_index)
     v = grid_point(cell.lo, rel, cell.step)
     value = ctx.value(v)
     if config.labeling is LabelStrategy.BEST_NEIGHBOR:
@@ -242,25 +236,14 @@ def label_vertex(ctx: EvalContext, cell: GridCell, corner_index: int,
         label = label_by_direction(d)
     else:
         box = ctx.obj.domain
-        x = v.copy()
         off = 1e-9 * cell.step
-        on_lo = x <= box.lo
-        on_hi = x >= box.hi
-        x = np.where(on_lo, x + off, x)
-        x = np.where(on_hi, x - off, x)
-        w = testbed.gradient(ctx.obj, x)
+        x = np.where(v <= box.lo, v + off, v)
+        x = np.where(v >= box.hi, x - off, x)
+        w = np.asarray(ctx.obj.gradient_fn(x), dtype=float)
         if ctx.sense is Sense.MAX:
             w = -w
         label = label_by_gradient(w)
     return LabeledVertex(tuple(float(c) for c in v), rel, label, value)
-
-
-def is_completely_labeled(labels, n: int) -> bool:
-    """True when the 2^n corner labels include every value in {0..n}."""
-    labels = list(labels)
-    if len(labels) != 2 ** n:
-        raise ValueError(f"expected {2 ** n} labels for dimension {n}, got {len(labels)}")
-    return set(range(n + 1)) <= set(labels)
 
 
 def _select_cell(candidates, labeled, sense):
@@ -301,11 +284,11 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
         try:
             for ci, cell in enumerate(candidates):
                 for idx in cell.corner_indices():
-                    key = cell.corner_rel(idx)
-                    vert = label_cache.get(key)
+                    rel = cell.corner_rel(idx)
+                    vert = label_cache.get(rel)
                     if vert is None:
-                        vert = label_vertex(ctx, cell, idx, config)
-                        label_cache[key] = vert
+                        vert = label_vertex(ctx, cell, rel, config)
+                        label_cache[rel] = vert
                     labeled[ci].append(vert)
         except BudgetExceeded:
             budget_hit = True

@@ -25,8 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import (BoxDomain, GradientUnavailable, Objective, RngStream, as_point,
-                   vectorises)
+from .core import BoxDomain, Objective, RngStream, vectorises
 
 VALID_NAMES = ("TP1", "BEALE", "F1", "F2", "F3", "F4", "F5")
 
@@ -245,18 +244,3 @@ def make_objective(name: str, bounds: float | None = None) -> Objective:
             known_optimum=((-32.0, -32.0), 0.9980038388186492))
     raise ValueError(f"unknown objective {name!r}; valid names: {', '.join(VALID_NAMES)}")
 
-
-def gradient(obj: Objective, p) -> np.ndarray:
-    """Gradient of ``obj`` at an interior point.
-
-    Analytic where available, central finite differences for F5; raises
-    GradientUnavailable for F3 (piecewise constant) and F4 (stochastic).
-    """
-    p = as_point(p, obj.dim)
-    if obj.stochastic:
-        raise GradientUnavailable(f"{obj.name} is stochastic")
-    if obj.name == "F3":
-        raise GradientUnavailable("F3 is piecewise constant")
-    if obj.gradient_fn is not None:
-        return np.asarray(obj.gradient_fn(p), dtype=float)
-    return finite_difference_gradient(obj.fn, p)

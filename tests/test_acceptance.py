@@ -12,11 +12,10 @@ from sgmopt.bench import (ExperimentSpec, emit_csv, png_ratio, run_experiment)
 from sgmopt.core import (EvalContext, EvalCounter, RngStream, Sense, SgmConfig)
 from sgmopt.engine import default_config, solve
 from sgmopt.refinement import crossover_midpoint
-from sgmopt.subdivision import (initial_cell, is_completely_labeled,
-                                label_by_direction, label_by_gradient,
-                                label_vertex)
+from sgmopt.subdivision import (initial_cell, label_by_direction,
+                                label_by_gradient, label_vertex)
 from sgmopt.testbed import (f4_deterministic, finite_difference_gradient,
-                            gradient, make_objective)
+                            make_objective)
 
 # f5 at the center of its deepest well, frozen from direct evaluation
 F5_REPORTED = 0.9980038388186492
@@ -48,15 +47,15 @@ def test_criterion_1_labeling_oracle():
     ctx = EvalContext(obj, EvalCounter(10_000), RngStream(0), Sense.MIN)
     cell = initial_cell(obj.domain)
     for i in range(4):
-        label_vertex(ctx, cell, i, cfg)
+        label_vertex(ctx, cell, cell.corner_rel(i), cfg)
 
     ctx = EvalContext(obj, EvalCounter(10_000), RngStream(0), Sense.MIN)
     t0 = time.perf_counter()
     labels = {}
     for i in range(4):
-        v = label_vertex(ctx, cell, i, cfg)
+        v = label_vertex(ctx, cell, cell.corner_rel(i), cfg)
         labels[v.point] = v.label
-    complete = is_completely_labeled(labels.values(), 2)
+    complete = len(labels) == 4 and set(labels.values()) == {0, 1, 2}
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     kids = cell.subdivide()
     introduced = {tuple(k.corner(i)) for k in kids for i in range(4)}
@@ -175,7 +174,7 @@ def test_criterion_7_property_suites(tmp_path):
         obj = make_objective(name)
         for _ in range(100):
             x = grng.uniform(obj.domain.lo * 0.9, obj.domain.hi * 0.9)
-            g = gradient(obj, x)
+            g = obj.gradient_fn(x)
             fd = finite_difference_gradient(obj.fn, x)
             scale = max(1.0, float(np.max(np.abs(fd))))
             grad_ok &= bool(np.max(np.abs(g - fd)) / scale < 1e-4)

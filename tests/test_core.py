@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sgmopt
 from sgmopt.baselines import random_search
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, ObjectiveError, RngStream, Sense, SgmConfig,
@@ -498,3 +501,24 @@ def test_better_ranks_nan_worst(a, b, sense):
     assert rank(nan, sense) > max(rank(np.inf, sense), rank(-np.inf, sense))
     # ``better`` is the strict order of ``rank``.
     assert better(a, b, sense) == (rank(a, sense) < rank(b, sense))
+
+
+def imported_modules(path: Path):
+    """Every module an ``import`` in the sgmopt source file ``path`` names,
+    relative imports resolved, plus ``module.name`` for each name a
+    ``from module import name`` takes (that name may be a submodule)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["sgmopt" if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["core", "subdivision", "refinement", "engine"])
+def test_sgm_modules_do_not_import_testbed(module):
+    path = Path(sgmopt.__file__).parent / f"{module}.py"
+    bad = [m for m in imported_modules(path)
+           if m == "sgmopt.testbed" or m.startswith("sgmopt.testbed.")]
+    assert bad == [], f"sgmopt.{module} imports the test bed: {bad}"

@@ -177,6 +177,20 @@ class TestSolveValidation:
             solve(make_objective("F3"), cfg)
         with pytest.raises(ValueError):
             solve(make_objective("F4"), cfg)
+        # A stochastic objective is refused even with a gradient_fn, and
+        # before any evaluation rather than mid-solve.
+        calls = []
+
+        def noise_free(p):
+            calls.append(p)
+            return float(np.sum(p * p))
+        noisy = Objective(name="NOISY_BOWL", dim=2, domain=BoxDomain(-np.ones(2), np.ones(2)),
+                          fn=lambda p, rng: noise_free(p) + rng.normal(),
+                          gradient_fn=lambda p: 2.0 * np.asarray(p), stochastic=True,
+                          noise_free_fn=noise_free)
+        with pytest.raises(ValueError, match="NOISY_BOWL"):
+            solve(noisy, cfg)
+        assert calls == []
 
     def test_config_error_before_any_evaluation(self):
         obj = make_objective("F4")
@@ -192,4 +206,11 @@ class TestSolveValidation:
         obj = make_objective("F1")
         cfg = SgmConfig(tf_rounds=2, labeling=LabelStrategy.GRADIENT, seed=1)
         r = solve(obj, cfg)
+        assert r.best_value <= 1e-6
+        # Labels come from the objective's own gradient_fn, whatever its
+        # name: a smooth bowl named like the test bed's step function solves.
+        bowl = Objective(name="F3", dim=2, domain=BoxDomain(-np.ones(2), np.ones(2)),
+                         fn=lambda p: float(np.sum((p - 0.25) ** 2)),
+                         gradient_fn=lambda p: 2.0 * (np.asarray(p) - 0.25))
+        r = solve(bowl, cfg)
         assert r.best_value <= 1e-6

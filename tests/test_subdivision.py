@@ -7,8 +7,7 @@ from sgmopt.core import (BoxDomain, EvalContext, EvalCounter, LabelStrategy,
                          Objective, RefinementLimit, RngStream, Sense,
                          SgmConfig, better, contains, rank)
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
-                                best_neighbor, initial_cell,
-                                is_completely_labeled, label_by_direction,
+                                best_neighbor, initial_cell, label_by_direction,
                                 label_by_gradient, label_vertex, neighborhood,
                                 run_phase1)
 from sgmopt.testbed import make_objective
@@ -223,10 +222,10 @@ class TestLabelVertex:
         cfg = SgmConfig()
         got = {}
         for i in range(4):
-            v = label_vertex(ctx, cell, i, cfg)
+            v = label_vertex(ctx, cell, cell.corner_rel(i), cfg)
             got[v.point] = v.label
         assert got == {(-1.0, 1.0): 2, (1.0, 1.0): 2, (-1.0, -1.0): 0, (1.0, -1.0): 1}
-        assert is_completely_labeled(got.values(), 2)
+        assert set(got.values()) == {0, 1, 2}
 
     def test_gradient_strategy_interior_stationary(self):
         obj = make_objective("F1")
@@ -236,35 +235,43 @@ class TestLabelVertex:
         # cell whose upper corner is the origin
         idx = 2 ** cell.dim - 1
         assert tuple(cell.corner(idx)) == (0.0, 0.0, 0.0)
-        v = label_vertex(ctx, cell, idx, cfg)
+        v = label_vertex(ctx, cell, cell.corner_rel(idx), cfg)
         assert v.label == 0
 
     def test_value_cached(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
         cell = initial_cell(obj.domain)
-        v = label_vertex(ctx, cell, 0, SgmConfig())
+        v = label_vertex(ctx, cell, cell.corner_rel(0), SgmConfig())
         assert v.value == obj.fn(np.asarray(v.point))
-
-
-class TestCompletelyLabeled:
-    def test_worked_example(self):
-        assert is_completely_labeled([2, 2, 0, 1], 2)
-
-    def test_missing_label(self):
-        assert not is_completely_labeled([0, 0, 1, 1], 2)
-
-    def test_3d(self):
-        assert is_completely_labeled([0, 1, 2, 3, 3, 3, 3, 3], 3)
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            is_completely_labeled([0, 1, 2], 2)
 
 
 def labeled_corners(cell, labels, values):
     return [LabeledVertex(tuple(cell.corner(i)), cell.corner_rel(i), lab, val)
             for i, (lab, val) in enumerate(zip(labels, values))]
+
+
+def is_complete(labels, n=2):
+    """``_select_cell``'s completeness flag for one level-0 cell in n
+    dimensions whose corners carry ``labels``."""
+    cell = initial_cell(box(-1, 1, n))
+    return _select_cell([cell], [labeled_corners(cell, labels, [0.0] * len(labels))],
+                        Sense.MIN)[2]
+
+
+class TestCompletelyLabeled:
+    def test_worked_example(self):
+        assert is_complete([2, 2, 0, 1])
+
+    def test_missing_label(self):
+        assert not is_complete([0, 0, 1, 1])
+
+    def test_3d(self):
+        assert is_complete([0, 1, 2, 3, 3, 3, 3, 3], 3)
+
+    def test_wrong_count_rejected(self):
+        # Every label present, but one corner of the plan unlabeled.
+        assert not is_complete([0, 1, 2])
 
 
 class TestSelectCell:
@@ -368,7 +375,7 @@ class TestRunPhase1:
         obj = make_objective("F1")
         cfg = SgmConfig(tf_rounds=2)
         out = run_phase1(obj, cfg, make_ctx(obj))
-        assert out.cell.contains_point(np.zeros(3))
+        assert np.all(out.cell.base <= 0.0) and np.all(0.0 <= out.cell.base + out.cell.step)
         assert out.complete
 
         # independent check: label every level-2 cell of the zoom lineage
@@ -378,12 +385,13 @@ class TestRunPhase1:
         level0 = initial_cell(obj.domain)
 
         def labels_of(cell, ctx):
-            return [label_vertex(ctx, cell, i, cfg2) for i in range(2 ** cell.dim)]
+            return [label_vertex(ctx, cell, cell.corner_rel(i), cfg2)
+                    for i in range(2 ** cell.dim)]
 
         def first_complete(cells, ctx):
             all_labeled = [labels_of(c, ctx) for c in cells]
             for c, verts in zip(cells, all_labeled):
-                if is_completely_labeled([v.label for v in verts], obj.dim):
+                if {v.label for v in verts} == set(range(obj.dim + 1)):
                     return c, verts
             return None, None
 
@@ -432,5 +440,5 @@ class TestRunPhase1:
         out = run_phase1(obj, cfg, ctx)
         assert out.cell.level == 2
         # the zoom keeps the origin (global noise-free optimum) in the cell
-        assert out.cell.contains_point(np.zeros(30))
+        assert np.all(out.cell.base <= 0.0) and np.all(0.0 <= out.cell.base + out.cell.step)
         assert any(np.allclose(v.point, 0.0) for v in out.vertices)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sgmopt.core import GradientUnavailable, RngStream, batch_form
+from sgmopt.core import LabelStrategy, RngStream, SgmConfig, batch_form
 from sgmopt import testbed
 from sgmopt.testbed import (eval_beale, eval_f1, eval_f2, eval_f3, eval_f5,
                             eval_tp1, f4_deterministic,
                             finite_difference_gradient, foxholes_matrix,
-                            gradient, make_objective, VALID_NAMES)
+                            make_objective, VALID_NAMES)
 
 # f5 at the center of its deepest well, computed directly from the formula
 # with the standard foxholes constants (frozen oracle value).
@@ -130,28 +130,32 @@ class TestGradients:
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = rng.uniform(obj.domain.lo * 0.9, obj.domain.hi * 0.9)
-            g = gradient(obj, x)
+            g = obj.gradient_fn(x)
             fd = finite_difference_gradient(obj.fn, x)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(g - fd)) / scale < 1e-4
 
     def test_examples(self):
-        assert tuple(gradient(make_objective("TP1"), (0.0, 0.0))) == (0.0, 0.0)
-        assert tuple(gradient(make_objective("F1"), (1.0, 1.0, 1.0))) == (2.0, 2.0, 2.0)
-        g = gradient(make_objective("BEALE"), (3.0, 0.5))
+        assert tuple(make_objective("TP1").gradient_fn((0.0, 0.0))) == (0.0, 0.0)
+        assert tuple(make_objective("F1").gradient_fn((1.0, 1.0, 1.0))) == (2.0, 2.0, 2.0)
+        g = make_objective("BEALE").gradient_fn((3.0, 0.5))
         assert np.max(np.abs(g)) < 1e-9
 
     def test_f5_uses_finite_differences(self):
         obj = make_objective("F5")
-        g = gradient(obj, (-31.0, -31.0))
+        assert obj.gradient_fn is None
+        g = finite_difference_gradient(obj.fn, np.array([-31.0, -31.0]))
         assert g.shape == (2,)
         assert np.all(np.isfinite(g))
 
     def test_unavailable(self):
-        with pytest.raises(GradientUnavailable):
-            gradient(make_objective("F3"), (0.0,) * 5)
-        with pytest.raises(GradientUnavailable):
-            gradient(make_objective("F4"), (0.0,) * 30)
+        # F3 is piecewise constant and F4 stochastic: neither has a
+        # gradient_fn, so gradient labeling is refused before solving.
+        cfg = SgmConfig(labeling=LabelStrategy.GRADIENT)
+        for name in ("F3", "F4"):
+            assert make_objective(name).gradient_fn is None
+            with pytest.raises(ValueError, match=name):
+                cfg.validate(make_objective(name))
 
 
 class TestKnownOptima:
