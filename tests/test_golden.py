@@ -12,6 +12,8 @@ import pytest
 from sgmopt import (BoxDomain, LabelStrategy, Objective, RngStream, SaConfig,
                     Sense, SgmConfig, default_config, make_objective,
                     random_search, simulated_annealing, solve)
+from sgmopt.core import vectorises
+from sgmopt.testbed import VALID_NAMES
 
 SGM_DIGESTS = {
     ("TP1", 0): "ed27aea4ec9349d06862c17417849b2cf189d1bfb634b44d490f3ca3269e054a",
@@ -77,6 +79,16 @@ BUDGET_OUT_DIGESTS = {
 # so only GRADIENT labeling reaches this path.
 CROSSOVER_BUDGET_OUT_DIGEST = "5f339fc539cdeedb7f4164c0a7f7ef21a957418f7c465cbe71b1a70f543c20b9"
 
+# Seed 1 with tf_rounds=0, so phase 2 starts from a coarse vertex: F1's
+# 80-row and F4's 620-row walks then stop at an improvement part way along
+# (90 of F1's 103 walks of 64 rows or more, 17 of F4's 43).  At 700
+# evaluations F1's budget runs out inside an 80-row ray walk.
+LONG_WALK_DIGESTS = {
+    ("F1", 20_000): "fa1d900fd2afdf453b8a081a5b3470ed61fcc54ae31c198127e15ae99bae9542",
+    ("F4", 60_000): "6a5b5efd762b1fbd8be33cb33df0e4d201f4c7e7972ac6564e236f4e4347c763",
+    ("F1", 700): "15257f534683d3d90251f4be17a394d5a6fe2eaca62e5d3187a2a8cbe63da32b",
+}
+
 SA_DIGESTS = {
     "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
     "F4": "19ecbcfaef987abe62dcdeddd67216dfce74e60a789e147243404bea747498c8",
@@ -131,6 +143,51 @@ def test_sgm_max_sense(name):
         obj, cfg = bump(8), SgmConfig(tf_rounds=0, eval_budget=20_000)
     r = solve(obj, replace(cfg, sense=Sense.MAX))
     assert digest(r) == MAX_DIGESTS[name]
+
+
+def batched_bump(n: int) -> Objective:
+    """``bump(n)`` with a registered batch form, so phase 2's 80-row walks
+    (n=3) are evaluated through it."""
+    peak = np.random.default_rng(20131).uniform(-4.0, 4.0, n)
+
+    def rows(P):
+        return -((P - peak) ** 2).sum(axis=1)
+
+    def fn(p):
+        return float(rows(p[None])[0])
+
+    vectorises(fn)(rows)
+    lo = np.full(n, -5.12)
+    return Objective(name=f"BUMP{n}", dim=n, domain=BoxDomain(lo, -lo), fn=fn)
+
+
+def test_sgm_max_sense_through_batch_form():
+    r = solve(batched_bump(3), SgmConfig(sense=Sense.MAX))
+    assert digest(r) == MAX_DIGESTS["BUMP3"]
+
+
+@pytest.mark.parametrize("name,budget", sorted(LONG_WALK_DIGESTS))
+def test_sgm_long_walks_stop_early(name, budget):
+    cfg = replace(default_config(name, seed=1), tf_rounds=0, eval_budget=budget)
+    r = solve(make_objective(name), cfg)
+    assert r.evaluations <= budget
+    assert digest(r) == LONG_WALK_DIGESTS[(name, budget)]
+
+
+def row_by_row(obj: Objective) -> Objective:
+    """``obj`` with its evaluated functions wrapped, so no batch form is
+    registered for them."""
+    fn, nf = obj.fn, obj.noise_free_fn
+    if nf is None:
+        return replace(obj, fn=lambda *a: fn(*a))
+    return replace(obj, fn=lambda *a: fn(*a), noise_free_fn=lambda p: nf(p))
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_batch_forms_do_not_change_results(name):
+    obj, cfg = make_objective(name), default_config(name)
+    got = solve(obj, cfg).without_wallclock()
+    assert solve(row_by_row(obj), cfg).without_wallclock() == got
 
 
 def test_sgm_rotation_cap_mid_sweep():
