@@ -10,6 +10,7 @@ a run is fully determined by its master seed and the derivation indices.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import time
 from dataclasses import dataclass, field
@@ -345,6 +346,12 @@ def deviation(best_point, known_optimum) -> tuple:
     return float(np.max(vec)), tuple(float(v) for v in vec)
 
 
+# Walks shorter than this are evaluated row by row: a 2-D sweep (40 rows)
+# often stops within its first few rows, and evaluating ahead of it slowed
+# such solves, while 80-row and longer walks ran faster batched.
+WALK_BATCH_MIN = 64
+
+
 def row_keys(P):
     """The cache key of each row of the (m, n) float batch ``P``, as a
     list, or of the one point ``P``: its float64 bytes after adding ``+0.0``,
@@ -404,7 +411,7 @@ class EvalContext:
         """
         p = np.asarray(p, dtype=float)
         if key is None:
-            key = row_keys(p)
+            key = (p + 0.0).tobytes()    # row_keys(p), without its view
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
@@ -437,19 +444,29 @@ class EvalContext:
             hit = cache.get(key)
             yield hit if hit is not None else self.value(p, key)
 
-    def values(self, P) -> list:
-        """``value`` of every row of the (m, n) batch ``P``, in row order.
+    def values(self, P, beat=None) -> list:
+        """``value`` of each row of the (m, n) batch ``P``, in row order;
+        with ``beat``, only of the rows up to and including the first one
+        strictly ``better`` than ``beat``.  The cache, counter and best
+        point end as those successive ``value`` calls would leave them, and
+        BudgetExceeded is raised where they would raise it.
 
         With a batch form (see ``vectorises``), one call of it evaluates
         the first occurrence of each cache miss, as many as the budget has
-        left.  The cache, counter and best point then end as successive
-        ``value`` calls would leave them, and BudgetExceeded is raised when
-        some misses did not fit.  If the batch form raises, every row passed
-        to it counts as evaluated, none is cached, and the best point stays
-        the one from before the batch.
+        left; rows it evaluated past the first better one are neither
+        counted nor cached.  A walk (``beat`` given) of fewer than
+        WALK_BATCH_MIN rows, or an objective with no batch form, is
+        evaluated row by row instead.  If the batch form raises, every row
+        passed to it counts as evaluated, none is cached, and the best point
+        stays the one from before the batch.
         """
-        if self._batch is None:
-            return list(self.iter_values(P))
+        if self._batch is None or (beat is not None and len(P) < WALK_BATCH_MIN):
+            walked = []
+            for v in self.iter_values(P):
+                walked.append(v)
+                if beat is not None and better(v, beat, self.sense):
+                    break
+            return walked
         P = np.asarray(P, dtype=float)
         keys = row_keys(P)
         cache = self._cache
@@ -457,24 +474,36 @@ class EvalContext:
         for i, key in enumerate(keys):
             if key not in cache and key not in misses:
                 misses[key] = i
-        rows = list(misses.values())[:self.counter.remaining]
+        order = list(misses.values())
+        rows = order[:self.counter.remaining]
+        vals = []
         if rows:
-            self.counter.tick(len(rows))
             try:
                 vals = self._batch(P[rows])
             except Exception as exc:
+                self.counter.tick(len(rows))
                 raise ObjectiveError(
                     f"{self.obj.name} raised on a batch of {len(rows)} rows: {exc!r}") from exc
-            if self.obj.stochastic:
-                vals = vals + self._noise_offset
-            for i, v in zip(rows, vals.tolist()):
-                cache[keys[i]] = v
-                if self.best_value is None or better(v, self.best_value, self.sense):
-                    self.best_value = v
-                    self.best_point = P[i].copy()
-        if len(rows) < len(misses):
+            vals = (vals + self._noise_offset if self.obj.stochastic else vals).tolist()
+        n, stop = len(rows), len(keys)
+        if beat is not None:
+            fresh = dict(zip(misses, vals))
+            cut = order[n] if n < len(order) else len(keys)
+            A = np.array([fresh[k] if k in fresh else cache[k] for k in keys[:cut]])
+            wins = np.flatnonzero((A < beat if self.sense is Sense.MIN else A > beat)
+                                  | ((beat != beat) & (A == A)))
+            if wins.size:
+                stop = int(wins[0]) + 1
+                n = bisect.bisect_left(rows, stop)
+        self.counter.tick(n)
+        for i, v in zip(rows[:n], vals):
+            cache[keys[i]] = v
+            if self.best_value is None or better(v, self.best_value, self.sense):
+                self.best_value = v
+                self.best_point = P[i].copy()
+        if stop == len(keys) and len(rows) < len(order):
             raise BudgetExceeded(f"evaluation budget {self.counter.budget} exhausted")
-        return [cache[key] for key in keys]
+        return [cache[key] for key in keys[:stop]]
 
     def feasible(self, p) -> bool:
         """Box membership of one point; the solvers mask whole batches with

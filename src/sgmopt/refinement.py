@@ -89,10 +89,10 @@ def _first_better(ctx: EvalContext, P, s_value: float, limit=None):
     than ``s_value``, as (row, value) or None, and the feasible rows walked.
     Rows outside the box cost no evaluation."""
     rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:limit]
-    for walked, v in enumerate(ctx.iter_values(P[rows]), 1):
-        if better(v, s_value, ctx.sense):
-            return (P[rows[walked - 1]], v), walked
-    return None, len(rows)
+    vals = ctx.values(P[rows], beat=s_value)
+    if vals and better(vals[-1], s_value, ctx.sense):
+        return (P[rows[len(vals) - 1]], vals[-1]), len(vals)
+    return None, len(vals)
 
 
 def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,

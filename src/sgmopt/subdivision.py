@@ -22,7 +22,8 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   RefinementLimit, Sense, SgmConfig, box_mask, rank)
+                   ObjectiveError, RefinementLimit, Sense, SgmConfig, box_mask,
+                   rank)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
 
@@ -226,7 +227,7 @@ def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
     labels then mirror where the refined grid's improvement step would move
     each corner.  Gradient labeling reads ``ctx.obj.gradient_fn``, after
     nudging boundary vertices inward so the gradient is taken at an
-    interior point.
+    interior point; an exception from it becomes ObjectiveError.
     """
     v = grid_point(cell.lo, rel, cell.step)
     value = ctx.value(v)
@@ -239,7 +240,11 @@ def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
         off = 1e-9 * cell.step
         x = np.where(v <= box.lo, v + off, v)
         x = np.where(v >= box.hi, x - off, x)
-        w = np.asarray(ctx.obj.gradient_fn(x), dtype=float)
+        try:
+            w = np.asarray(ctx.obj.gradient_fn(x), dtype=float)
+        except Exception as exc:
+            raise ObjectiveError(
+                f"{ctx.obj.name} gradient raised at {x.tolist()}: {exc!r}") from exc
         if ctx.sense is Sense.MAX:
             w = -w
         label = label_by_gradient(w)

@@ -248,6 +248,9 @@ class TestRowKeys:
         assert set(ctx._cache) == set(keys)
         spent = ctx.counter.count
         list(ctx.iter_values(P))
+        # Strided rows with every zero negated hit the same entries.
+        for p in np.asfortranarray(np.where(P == 0.0, -0.0, P)):
+            ctx.value(p)
         assert ctx.counter.count == spent
 
     @settings(deadline=None)
@@ -307,8 +310,24 @@ class TestEvalContextValues:
         P[11] = P[0]
         return P
 
-    def run_both(self, obj, P, budget, epochs=0, warm=None):
-        ctxs = [EvalContext(obj, EvalCounter(budget), RngStream(5), Sense.MIN)
+    @staticmethod
+    def walk(n, seed, stop=None, far=0.0):
+        """80 rows from [0.5, 1]^n, with repeats and signed zeros on both
+        sides of row ``stop``, which holds ``far`` in every coordinate."""
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(0.5, 1.0, size=(80, n))
+        P[[20, 60], 0] = 0.0
+        P[[9, 22, 41, 66, 75]] = P[[2, 20, 30, 60, 64]]
+        P[[22, 66], 0] = -0.0   # same cache key as rows 20 and 60
+        if stop is not None:
+            P[stop] = far
+        return P
+
+    def run_both(self, obj, P, budget, epochs=0, warm=None, beat=None, sense=Sense.MIN):
+        """``values(P, beat=beat)`` on one context, and on another the
+        ``value`` calls it stands for: row by row up to the first row
+        strictly better than ``beat``."""
+        ctxs = [EvalContext(obj, EvalCounter(budget), RngStream(5), sense)
                 for _ in range(2)]
         for ctx in ctxs:
             for _ in range(epochs):
@@ -318,12 +337,14 @@ class TestEvalContextValues:
         got, want = [], []
         raised = []
         try:
-            got.extend(ctxs[0].values(P))
+            got.extend(ctxs[0].values(P, beat=beat))
         except BudgetExceeded:
             raised.append("values")
         try:
             for p in P:
                 want.append(ctxs[1].value(p))
+                if beat is not None and better(want[-1], beat, sense):
+                    break
         except BudgetExceeded:
             raised.append("value")
         return ctxs, got, want, raised
@@ -381,6 +402,62 @@ class TestEvalContextValues:
         assert ctx_state(a) == ctx_state(b)
 
 
+    @pytest.mark.parametrize("stop", [0, 37, 79, None])
+    def test_beat_stops_at_first_better_row(self, stop):
+        obj = objective("F1", self.path)
+        P = self.walk(3, 4, stop)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, warm=P[30], beat=0.5)
+        assert raised == []
+        assert got == want
+        assert len(got) == (80 if stop is None else stop + 1)
+        assert ctx_state(a) == ctx_state(b)
+
+    def test_beat_stops_on_cache_hit(self):
+        obj = objective("F1", self.path)
+        P = self.walk(3, 5, 37)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, warm=-P[37], beat=0.5)
+        assert raised == [] and len(got) == 38
+        assert got == want
+        assert ctx_state(a) == ctx_state(b)
+        assert a.counter.count == 1 + len(set(row_keys(P[:37])))
+
+    @pytest.mark.parametrize("spare", [-1, 0, 5])
+    def test_beat_budget_cut_around_stop(self, spare):
+        obj = objective("F1", self.path)
+        P = self.walk(3, 6, 50)
+        budget = len(set(row_keys(P[:51]))) + spare
+        (a, b), got, want, raised = self.run_both(obj, P, budget, beat=0.5)
+        assert raised == (["values", "value"] if spare < 0 else [])
+        assert got == ([] if spare < 0 else want)
+        assert a.counter.count == b.counter.count == min(budget, budget - spare)
+        assert ctx_state(a) == ctx_state(b)
+
+    def test_beat_nan_is_beaten_by_the_first_number(self):
+        obj = objective("F1", self.path)
+        P = self.walk(3, 7)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, beat=float("nan"))
+        assert raised == [] and got == want and len(got) == 1
+        assert ctx_state(a) == ctx_state(b)
+
+    def test_beat_max_sense(self):
+        obj = objective("F1", self.path)
+        P = self.walk(3, 8, 44, far=5.0)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, beat=10.0, sense=Sense.MAX)
+        assert raised == [] and got == want and len(got) == 45
+        assert ctx_state(a) == ctx_state(b)
+
+    def test_beat_stochastic_epoch(self):
+        obj = objective("F4", self.path)
+        P = self.walk(30, 9, 61)
+        ref = EvalContext(obj, EvalCounter(1), RngStream(5), Sense.MIN)
+        ref.new_epoch()
+        ref.new_epoch()
+        beat = ref._noise_offset + 1.0
+        (a, b), got, want, raised = self.run_both(obj, P, 100, epochs=2, warm=P[4], beat=beat)
+        assert raised == [] and got == want and len(got) == 62
+        assert ctx_state(a) == ctx_state(b)
+
+
 class TestEvalContextValuesRowByRow(TestEvalContextValues):
     """The same checks on copies of the objectives with no batch form."""
 
@@ -418,6 +495,24 @@ class TestBatchForm:
         assert ctx.best_point.tolist() == [0.0, 0.0]
         assert ctx.values(P[2:5]) == [0.0625, 0.0, 0.0625]
         assert len(seen) == 1
+
+    def test_long_walk_is_one_batch_call(self):
+        obj, seen = counting_sphere()
+        ctx = EvalContext(obj, EvalCounter(100), RngStream(0), Sense.MIN)
+        P = np.linspace(1.0, 0.0, 64).repeat(2).reshape(64, 2)
+        assert ctx.values(P, beat=0.5)[-1] < 0.5
+        assert len(seen) == 1 and len(seen[0]) == 64
+        # Rows past the stop were computed, but neither counted nor cached.
+        assert ctx.counter.count == 33
+        ctx.value(P[40])
+        assert ctx.counter.count == 34
+
+    def test_short_walk_never_calls_the_batch_form(self):
+        obj, seen = counting_sphere()
+        ctx = EvalContext(obj, EvalCounter(100), RngStream(0), Sense.MIN)
+        P = np.linspace(1.0, 0.0, 63).repeat(2).reshape(63, 2)
+        assert ctx.values(P, beat=-1.0) == [obj.fn(p) for p in P]
+        assert seen == [] and ctx.counter.count == 63
 
     def test_replaced_fn_never_calls_the_old_batch_form(self):
         obj, seen = counting_sphere()

@@ -159,6 +159,19 @@ class TestSolve:
         assert (err.partial.best_value, err.partial.best_point) in seen
         assert err.partial.sd is None and err.partial.trace == []
 
+    def test_raising_gradient_keeps_best_point(self):
+        def gradient(x):
+            raise ZeroDivisionError("gradient")
+        obj = Objective(name="BOWL", dim=2, domain=BoxDomain(-np.ones(2), np.ones(2)),
+                        fn=lambda p: float(np.sum((p - 0.25) ** 2)), gradient_fn=gradient)
+        with pytest.raises(ObjectiveError) as info:
+            solve(obj, SgmConfig(labeling=LabelStrategy.GRADIENT))
+        err = info.value
+        assert isinstance(err.__cause__, ZeroDivisionError)
+        # The first corner is evaluated before its gradient is read.
+        assert err.partial.evaluations == 1
+        assert err.partial.best_point == (-1.0, -1.0)
+
     def test_raising_first_call_has_no_partial(self):
         def fn(x):
             raise ValueError("never")
