@@ -401,7 +401,6 @@ class TestEvalContextValues:
         assert a.counter.count == 7
         assert ctx_state(a) == ctx_state(b)
 
-
     @pytest.mark.parametrize("stop", [0, 37, 79, None])
     def test_beat_stops_at_first_better_row(self, stop):
         obj = objective("F1", self.path)
