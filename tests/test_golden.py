@@ -4,13 +4,14 @@ digest here unchanged; a digest may change only with a deliberate change of
 results, recorded in CHANGES.md."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sgmopt import (BoxDomain, LabelStrategy, Objective, RngStream, SaConfig,
-                    Sense, SgmConfig, default_config, make_objective,
+from sgmopt import (BoxDomain, LabelStrategy, Objective, ObjectiveError, RngStream,
+                    SaConfig, Sense, SgmConfig, default_config, make_objective,
                     random_search, simulated_annealing, solve)
 from sgmopt.core import vectorises
 from sgmopt.testbed import VALID_NAMES
@@ -60,6 +61,35 @@ MAX_DIGESTS = {
     "BUMP3": "33f9f2d815c669398c013b321253cc34e65f53abe185c16d7c578833a7676bdb",
     "BUMP8": "c4692d32e0af7ad5dddbc54f5b01048ab7d554111afac25735c2991449fccf00",
 }
+
+# Sense.MAX on paths the digests above leave out.  GRADIENT labeling
+# (default_config, seed 0) reads the gradient's sign, and F4
+# (default_config) the sign of each epoch's noise offset.  batched_bump(3)
+# with tf_rounds=0 runs out of budget inside a walk: a 60-row walk on the
+# row path at 150 evaluations, a 76-row and an 80-row walk on the batch
+# path at 400 and 2,000.
+MAX_GRADIENT_DIGESTS = {
+    "BEALE": "5f461f175a712e89aa96d8987ab0032a7c8369656f635211d66c8b2ec5d26484",
+    "F1": "5b10070ea04f5f3c8dd851aa4dd077c28dd2bedcc398273956be6306a9744c9a",
+    "F2": "02f9d26923e3513b1703b623d096d6ac2bb2a08c5bfa39ea23e5a9bc7979be33",
+}
+MAX_F4_DIGESTS = {
+    0: "2f6fe837019c4d7bf7131d5510ed1dd5deb30e14f55ec906e5dff801e1874814",
+    1: "11bbea83ded3d91e1d4ef262d703a1a33a40170b021b68b381f0ea4300d3bdfa",
+}
+MAX_BUDGET_OUT_DIGESTS = {
+    150: "88134929ffdf3557856d90717c28f66ac26d30f968e4095a11b2a22e5ed9b46d",
+    400: "d9712029bf570e303d65103b2f75b84285808bce6f803b6f9ea24b99ef285bc1",
+    2000: "f65499c9a0feae548b8b5518016b752d13c9a3792d49ff3400f24fdf1259710c",
+}
+
+# probe() under each sense, and the ObjectiveError.partial of an objective
+# that raises on its 400th call under Sense.MAX.
+PROBE_DIGESTS = {
+    Sense.MIN: "dbae0cbcffdce0573e70650f6b8e53edec77a3cc870b798b0c25525d89783d5c",
+    Sense.MAX: "d75f0af51caddbdaa0a10eecb957d4d94f592c0b454475c81b72dd9ebab5923b",
+}
+MAX_PARTIAL_DIGEST = "49575692a235accbd3de2d0d932be6dcdaa691277f557ce0fdace364ec6fb322"
 
 # TP1 with trm_max=3, tc_max=1: the rotation cap is reached inside a
 # rotational sweep, with candidates of that sweep still untried.
@@ -164,6 +194,68 @@ def batched_bump(n: int) -> Objective:
 def test_sgm_max_sense_through_batch_form():
     r = solve(batched_bump(3), SgmConfig(sense=Sense.MAX))
     assert digest(r) == MAX_DIGESTS["BUMP3"]
+
+
+@pytest.mark.parametrize("name", sorted(MAX_GRADIENT_DIGESTS))
+def test_sgm_max_sense_gradient_labeling(name):
+    cfg = replace(default_config(name, seed=0), labeling=LabelStrategy.GRADIENT,
+                  sense=Sense.MAX)
+    assert digest(solve(make_objective(name), cfg)) == MAX_GRADIENT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(MAX_F4_DIGESTS))
+def test_sgm_max_sense_stochastic(seed):
+    cfg = replace(default_config("F4", seed=seed), sense=Sense.MAX)
+    assert digest(solve(make_objective("F4"), cfg)) == MAX_F4_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("budget", sorted(MAX_BUDGET_OUT_DIGESTS))
+def test_sgm_max_sense_budget_out_in_walk(budget):
+    cfg = SgmConfig(sense=Sense.MAX, tf_rounds=0, eval_budget=budget)
+    r = solve(batched_bump(3), cfg)
+    assert r.evaluations == budget
+    assert digest(r) == MAX_BUDGET_OUT_DIGESTS[budget]
+
+
+def probe() -> Objective:
+    """NaN where both coordinates are negative, -0.0 on the band
+    0.5 <= x_2 <= 1, and a negated bowl below -1 elsewhere, so that the
+    maximum is -0.0; with a batch form."""
+    def rows(P):
+        bowl = -1.0 - ((P - 0.3) ** 2).sum(axis=1)
+        out = np.where((P[:, 1] >= 0.5) & (P[:, 1] <= 1.0), -0.0, bowl)
+        return np.where((P < 0.0).all(axis=1), np.nan, out)
+
+    def fn(p):
+        return float(rows(p[None])[0])
+
+    vectorises(fn)(rows)
+    return Objective(name="PROBE", dim=2, domain=BoxDomain(np.full(2, -2.0), np.full(2, 2.0)),
+                     fn=fn)
+
+
+@pytest.mark.parametrize("sense", list(Sense), ids=lambda s: s.value)
+def test_sgm_probe(sense):
+    r = solve(probe(), SgmConfig(sense=sense))
+    if sense is Sense.MAX:
+        assert r.best_value == 0.0 and math.copysign(1.0, r.best_value) == -1.0
+    assert digest(r) == PROBE_DIGESTS[sense]
+
+
+def test_sgm_max_sense_partial():
+    calls = []
+
+    def fn(x):
+        if len(calls) == 399:
+            raise ZeroDivisionError("call 400")
+        calls.append(x)
+        return -float(np.sum((x - 0.3) ** 2))
+    obj = Objective(name="RAISES400", dim=2,
+                    domain=BoxDomain(np.full(2, -2.0), np.full(2, 2.0)), fn=fn)
+    with pytest.raises(ObjectiveError) as info:
+        solve(obj, SgmConfig(sense=Sense.MAX))
+    assert info.value.partial.evaluations == 400
+    assert digest(info.value.partial) == MAX_PARTIAL_DIGEST
 
 
 @pytest.mark.parametrize("name,budget", sorted(LONG_WALK_DIGESTS))
