@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BudgetExceeded, EvalCounter, Objective, RngStream,
-                   RunResult, Sense, batch_form, better, box_mask, counted_eval)
+                   RunResult, batch_form, better, box_mask, counted_eval)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
             rows = range(len(X)) if best_v is None else np.flatnonzero(~(V >= best_v)).tolist()
         for i in rows:
             v = vals[i]
-            if best_v is None or better(v, best_v, Sense.MIN):
+            if best_v is None or better(v, best_v):
                 best_x, best_v = X[i], v
                 trace.append((start + i, float(v), tuple(float(c) for c in best_x)))
         start += len(X)
@@ -161,9 +161,9 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
                 prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo),
                                   box.hi)
                 fp = counted_eval(obj, prop, counter, rng)
-                if better(fp, fx, Sense.MIN) or rng.random() < np.exp(-(fp - fx) / temp):
+                if better(fp, fx) or rng.random() < np.exp(-(fp - fx) / temp):
                     x, fx = prop, fp
-                if better(fp, best_v, Sense.MIN):
+                if better(fp, best_v):
                     best_x, best_v = prop, fp
                     trace.append((stage, float(fp), tuple(float(c) for c in prop)))
             temp *= sa.cooling

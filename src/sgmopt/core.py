@@ -241,21 +241,18 @@ def counted_eval(obj: Objective, p, counter: EvalCounter, rng: Optional[RngStrea
     return float(obj.fn(p))
 
 
-def better(a: float, b: float, sense: Sense) -> bool:
-    """Strictly better in the configured sense (ties are never better).
+def better(a: float, b: float) -> bool:
+    """Strictly lower (ties are never better); the solvers minimise.
 
     NaN ranks worst: any non-NaN value beats it, and it beats nothing."""
-    beats = a < b if sense is Sense.MIN else a > b
-    return beats or (b != b and a == a)
+    return a < b or (b != b and a == a)
 
 
-def rank(value: float, sense: Sense) -> tuple:
-    """Sort key for ``better``'s order: ``better(a, b, sense)`` exactly
-    when ``rank(a, sense) < rank(b, sense)``.  Every NaN shares one key,
-    which sorts after every number."""
-    if value != value:
-        return (1, 0.0)
-    return (0, value if sense is Sense.MIN else -value)
+def rank(value: float) -> tuple:
+    """Sort key for ``better``'s order: ``better(a, b)`` exactly when
+    ``rank(a) < rank(b)``.  Every NaN shares one key, which sorts after
+    every number."""
+    return (1, 0.0) if value != value else (0, value)
 
 
 @dataclass
@@ -281,6 +278,10 @@ class SgmConfig:
     seed: int = 0
 
     def validate(self, obj: Optional[Objective] = None):
+        if not isinstance(self.sense, Sense):
+            raise ValueError(f"sense must be a Sense member, got {self.sense!r}")
+        if not isinstance(self.labeling, LabelStrategy):
+            raise ValueError(f"labeling must be a LabelStrategy member, got {self.labeling!r}")
         if self.tf_rounds < 0:
             raise ValueError("tf_rounds must be >= 0")
         if self.alpha_base <= 0:
@@ -371,6 +372,8 @@ class EvalContext:
     """Per-run evaluation state: counter, caching, best-seen tracking, and
     comparison epochs for stochastic objectives.
 
+    Its values are ``sign`` (1.0 for Sense.MIN, -1.0 for Sense.MAX) times
+    the objective's, so the solvers always minimise, exactly as on -f.
     Deterministic objectives are memoized for the whole run, keyed by
     ``row_keys`` (repeat points cost no budget).  Stochastic objectives are
     evaluated under common random numbers: all evaluations inside one epoch
@@ -383,11 +386,13 @@ class EvalContext:
         self.obj = obj
         self.counter = counter
         self.rng = rng
-        self.sense = sense
+        self.sign = {Sense.MIN: 1.0, Sense.MAX: -1.0}[sense]
         self.epoch = -1
         self._cache: dict = {}
-        self._noise_offset = 0.0
-        self._batch = batch_form(obj.noise_free_fn if obj.stochastic else obj.fn)
+        # -0.0 until an epoch draws noise: x + -0.0 is x bit for bit, -0.0 included.
+        self._noise_offset = -0.0
+        self._fn = obj.noise_free_fn if obj.stochastic else obj.fn
+        self._batch = batch_form(self._fn)
         self.best_point: Optional[np.ndarray] = None
         self.best_value: Optional[float] = None
         self.new_epoch()
@@ -397,12 +402,12 @@ class EvalContext:
         if self.obj.stochastic:
             self._cache.clear()
             noise_rng = self.rng.substream(self.epoch)
-            # One shared draw per epoch; adding its sum to the noise-free part
-            # equals giving every in-epoch evaluation the identical rng state.
-            self._noise_offset = float(np.sum(noise_rng.normal(size=self.obj.dim)))
+            # One shared draw per epoch, signed like the values; adding its sum to
+            # the noise-free part gives every in-epoch evaluation one rng state.
+            self._noise_offset = self.sign * float(np.sum(noise_rng.normal(size=self.obj.dim)))
 
     def value(self, p, key=None) -> float:
-        """The objective at ``p``, from the cache when it holds ``p``.
+        """``sign`` times the objective at ``p``, from the cache if it holds ``p``.
 
         ``key`` is ``row_keys(p)``, passed by a caller that has already
         looked it up and missed, so ``p`` is evaluated at once.  Points
@@ -417,14 +422,11 @@ class EvalContext:
                 return hit
         self.counter.tick()
         try:
-            if self.obj.stochastic:
-                v = float(self.obj.noise_free_fn(p)) + self._noise_offset
-            else:
-                v = float(self.obj.fn(p))
+            v = self.sign * float(self._fn(p)) + self._noise_offset
         except Exception as exc:
             raise ObjectiveError(f"{self.obj.name} raised at {p.tolist()}: {exc!r}") from exc
         self._cache[key] = v
-        if self.best_value is None or better(v, self.best_value, self.sense):
+        if self.best_value is None or better(v, self.best_value):
             self.best_value = v
             self.best_point = p.copy()
         return v
@@ -464,7 +466,7 @@ class EvalContext:
             walked = []
             for v in self.iter_values(P):
                 walked.append(v)
-                if beat is not None and better(v, beat, self.sense):
+                if beat is not None and better(v, beat):
                     break
             return walked
         P = np.asarray(P, dtype=float)
@@ -479,31 +481,37 @@ class EvalContext:
         vals = []
         if rows:
             try:
-                vals = self._batch(P[rows])
+                vals = (self.sign * self._batch(P[rows]) + self._noise_offset).tolist()
             except Exception as exc:
                 self.counter.tick(len(rows))
                 raise ObjectiveError(
                     f"{self.obj.name} raised on a batch of {len(rows)} rows: {exc!r}") from exc
-            vals = (vals + self._noise_offset if self.obj.stochastic else vals).tolist()
         n, stop = len(rows), len(keys)
         if beat is not None:
             fresh = dict(zip(misses, vals))
             cut = order[n] if n < len(order) else len(keys)
             A = np.array([fresh[k] if k in fresh else cache[k] for k in keys[:cut]])
-            wins = np.flatnonzero((A < beat if self.sense is Sense.MIN else A > beat)
-                                  | ((beat != beat) & (A == A)))
+            wins = np.flatnonzero((A < beat) | ((beat != beat) & (A == A)))
             if wins.size:
                 stop = int(wins[0]) + 1
                 n = bisect.bisect_left(rows, stop)
         self.counter.tick(n)
         for i, v in zip(rows[:n], vals):
             cache[keys[i]] = v
-            if self.best_value is None or better(v, self.best_value, self.sense):
+            if self.best_value is None or better(v, self.best_value):
                 self.best_value = v
                 self.best_point = P[i].copy()
         if stop == len(keys) and len(rows) < len(order):
             raise BudgetExceeded(f"evaluation budget {self.counter.budget} exhausted")
         return [cache[key] for key in keys[:stop]]
+
+    def gradient(self, x) -> np.ndarray:
+        """``sign`` times ``gradient_fn(x)``; what it raises becomes ObjectiveError."""
+        try:
+            return self.sign * np.asarray(self.obj.gradient_fn(x), dtype=float)
+        except Exception as exc:
+            raise ObjectiveError(
+                f"{self.obj.name} gradient raised at {x.tolist()}: {exc!r}") from exc
 
     def feasible(self, p) -> bool:
         """Box membership of one point; the solvers mask whole batches with

@@ -51,6 +51,7 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
         rng = RngStream(config.seed)
     counter = EvalCounter(config.eval_budget)
     ctx = EvalContext(obj, counter, rng, config.sense)
+    sign = ctx.sign    # both phases minimise; the report negates a MAX run's values back
     try:
         outcome = run_phase1(obj, config, ctx, trace_sink=phase1_sink)
         trace = list(outcome.trace)
@@ -66,11 +67,12 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
             final_point, final_value = ctx.best_point, ctx.best_value
     except ObjectiveError as exc:
         if ctx.best_point is not None:
-            exc.partial = RunResult.build(obj, ctx.best_point, ctx.best_value,
+            exc.partial = RunResult.build(obj, ctx.best_point, sign * ctx.best_value,
                                           counter.count, 0, [], t0)
         raise
     if not obj.stochastic:
         final_point, final_value = ctx.best_point, ctx.best_value
-        if better(final_value, trace[-1][1], config.sense):
+        if better(final_value, trace[-1][1]):
             trace.append((gens, final_value, tuple(float(c) for c in final_point)))
-    return RunResult.build(obj, final_point, final_value, counter.count, gens, trace, t0)
+    trace = [(g, sign * v, p) for g, v, p in trace]
+    return RunResult.build(obj, final_point, sign * final_value, counter.count, gens, trace, t0)

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import BudgetExceeded, EvalContext, Sense, SgmConfig, better, box_mask, rank
+from .core import BudgetExceeded, EvalContext, SgmConfig, better, box_mask, rank
 from .subdivision import GridCell, Phase1Outcome, index_bits
 
 DIR_FULL_MAX_DIM = 6
@@ -36,12 +36,12 @@ class RefineState:
     scale: float = 1.0
 
 
-def select_best_vertex(outcome: Phase1Outcome, sense: Sense):
+def select_best_vertex(outcome: Phase1Outcome):
     """Vertex with the best ``rank``ed cached value; ties, all-NaN ones
     included, go to the lowest relative coordinates in lexicographic order."""
     if not outcome.vertices:
         raise ValueError("phase-1 outcome has no labeled vertices")
-    best = min(outcome.vertices, key=lambda v: (rank(v.value, sense), v.rel))
+    best = min(outcome.vertices, key=lambda v: (rank(v.value), v.rel))
     return np.asarray(best.point, dtype=float), best.value
 
 
@@ -90,7 +90,7 @@ def _first_better(ctx: EvalContext, P, s_value: float, limit=None):
     Rows outside the box cost no evaluation."""
     rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:limit]
     vals = ctx.values(P[rows], beat=s_value)
-    if vals and better(vals[-1], s_value, ctx.sense):
+    if vals and better(vals[-1], s_value):
         return (P[rows[len(vals) - 1]], vals[-1]), len(vals)
     return None, len(vals)
 
@@ -156,7 +156,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
     carries the best value seen so far, starting from the best point
     evaluated before phase 2, so the rows never get worse.
     """
-    s, s_value = select_best_vertex(outcome, ctx.sense)
+    s, s_value = select_best_vertex(outcome)
     state = RefineState(s=s, s_value=s_value)
     trace = []
     if config.trm_max == 0 and config.tc_max == 0:
@@ -183,10 +183,10 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
                     mids = crossover_adjacent_sides(outcome.cell, p)
                     mids = mids[box_mask(obj.domain, mids)]
                     pool += zip(mids, ctx.values(mids))
-                new_s, new_v = min(pool, key=lambda q: rank(q[1], ctx.sense))
+                new_s, new_v = min(pool, key=lambda q: rank(q[1]))
                 improvement = abs(new_v - state.s_value)
                 state.s, state.s_value = np.asarray(new_s, dtype=float), new_v
-                if better(new_v, floor_value, ctx.sense):
+                if better(new_v, floor_value):
                     floor_value, floor_point = new_v, tuple(float(c) for c in state.s)
                 stall = stall + 1 if improvement < config.tolerance else 0
                 done = stall >= STALL_LIMIT

@@ -22,8 +22,7 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   ObjectiveError, RefinementLimit, Sense, SgmConfig, box_mask,
-                   rank)
+                   RefinementLimit, SgmConfig, box_mask, rank)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
 
@@ -194,11 +193,10 @@ def best_neighbor(ctx: EvalContext, p, h, center_hint=None):
     p = np.asarray(p, dtype=float)
     P = np.vstack([p, neighborhood(p, h, ctx.obj.domain, center_hint)])
     vals = np.array(ctx.values(P))
-    # ``better``'s ranking in one reduction: the first best value among the
-    # non-NaN rows, or row 0 when every value is NaN.
+    # ``better``'s ranking in one reduction: the first lowest value among
+    # the non-NaN rows, or row 0 when every value is NaN.
     ok = np.flatnonzero(vals == vals)
-    pick = np.argmax if ctx.sense is Sense.MAX else np.argmin
-    best = ok[pick(vals[ok])] if ok.size else 0
+    best = ok[np.argmin(vals[ok])] if ok.size else 0
     return P[best], P[best] - p
 
 
@@ -225,9 +223,8 @@ def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
 
     The neighborhood step is half the cell step (the next grid's spacing):
     labels then mirror where the refined grid's improvement step would move
-    each corner.  Gradient labeling reads ``ctx.obj.gradient_fn``, after
-    nudging boundary vertices inward so the gradient is taken at an
-    interior point; an exception from it becomes ObjectiveError.
+    each corner.  Gradient labeling reads ``ctx.gradient``, after nudging
+    boundary vertices inward so the gradient is taken at an interior point.
     """
     v = grid_point(cell.lo, rel, cell.step)
     value = ctx.value(v)
@@ -240,18 +237,11 @@ def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
         off = 1e-9 * cell.step
         x = np.where(v <= box.lo, v + off, v)
         x = np.where(v >= box.hi, x - off, x)
-        try:
-            w = np.asarray(ctx.obj.gradient_fn(x), dtype=float)
-        except Exception as exc:
-            raise ObjectiveError(
-                f"{ctx.obj.name} gradient raised at {x.tolist()}: {exc!r}") from exc
-        if ctx.sense is Sense.MAX:
-            w = -w
-        label = label_by_gradient(w)
+        label = label_by_gradient(ctx.gradient(x))
     return LabeledVertex(tuple(float(c) for c in v), rel, label, value)
 
 
-def _select_cell(candidates, labeled, sense):
+def _select_cell(candidates, labeled):
     """First candidate completely labeled over its whole corner plan, else
     the one with the most distinct labels (ties: best vertex ``rank``, then index)."""
     want = set(range(candidates[0].dim + 1))
@@ -262,7 +252,7 @@ def _select_cell(candidates, labeled, sense):
     if not started:
         return candidates[0], [], False
     i = min(started, key=lambda j: (-len({v.label for v in labeled[j]}),
-                                    min(rank(v.value, sense) for v in labeled[j]), j))
+                                    min(rank(v.value) for v in labeled[j]), j))
     return candidates[i], labeled[i], False
 
 
@@ -297,7 +287,7 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
                     labeled[ci].append(vert)
         except BudgetExceeded:
             budget_hit = True
-        sel, verts, comp = _select_cell(candidates, labeled, ctx.sense)
+        sel, verts, comp = _select_cell(candidates, labeled)
         if verts or r == 0:
             selected, selected_verts, complete = sel, verts, comp
         if trace_sink is not None:

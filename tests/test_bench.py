@@ -1,6 +1,7 @@
 import json
 import re
 import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ from sgmopt.bench import (CSV_AGGREGATE_HEADER, CSV_TRIAL_HEADER, OVERRIDES,
                           ExperimentSpec, compute_aggregates, emit_csv,
                           emit_json, is_success, parse_spec_file,
                           parse_trial_csv, png_ratio, png_row, run_experiment)
-from sgmopt.core import RunResult
+from sgmopt.core import RunResult, Sense
 from sgmopt.engine import default_config
+from sgmopt.testbed import make_objective
 
 
 class TestPngRatio:
@@ -280,6 +282,12 @@ class TestCli:
         assert cli.main(["solve", "F1", "--seed", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert max(abs(c) for c in payload["best_point"]) <= 1e-6
+
+    def test_solve_max_sense(self, capsys):
+        assert cli.main(["solve", "TP1", "--sense", "max"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        r = engine.solve(make_objective("TP1"), replace(default_config("TP1"), sense=Sense.MAX))
+        assert (payload["best_f"], payload["evaluations"]) == (r.best_value, r.evaluations)
 
     def test_tables(self, capsys):
         assert cli.main(["tables"]) == 0

@@ -197,6 +197,11 @@ class TestEvalContext:
         assert tuple(ctx.best_point) == (0.5, 0.0, 0.0)
         assert ctx.best_value == 0.25
 
+    def test_sense_must_be_a_member(self):
+        # A string would otherwise pick a sign silently.
+        with pytest.raises(KeyError):
+            EvalContext(make_objective("F1"), EvalCounter(10), RngStream(0), "max")
+
     def test_stochastic_epochs_share_noise(self):
         obj = make_objective("F4")
         ctx = EvalContext(obj, EvalCounter(100), RngStream(3), Sense.MIN)
@@ -343,7 +348,7 @@ class TestEvalContextValues:
         try:
             for p in P:
                 want.append(ctxs[1].value(p))
-                if beat is not None and better(want[-1], beat, sense):
+                if beat is not None and better(want[-1], beat):
                     break
         except BudgetExceeded:
             raised.append("value")
@@ -439,10 +444,13 @@ class TestEvalContextValues:
         assert ctx_state(a) == ctx_state(b)
 
     def test_beat_max_sense(self):
+        # Under MAX, values and ``beat`` are negated: row 44 (F1 = 75) is
+        # the first above 10.
         obj = objective("F1", self.path)
         P = self.walk(3, 8, 44, far=5.0)
-        (a, b), got, want, raised = self.run_both(obj, P, 100, beat=10.0, sense=Sense.MAX)
+        (a, b), got, want, raised = self.run_both(obj, P, 100, beat=-10.0, sense=Sense.MAX)
         assert raised == [] and got == want and len(got) == 45
+        assert got == [-obj.fn(p) for p in P[:45]]
         assert ctx_state(a) == ctx_state(b)
 
     def test_beat_stochastic_epoch(self):
@@ -455,6 +463,33 @@ class TestEvalContextValues:
         (a, b), got, want, raised = self.run_both(obj, P, 100, epochs=2, warm=P[4], beat=beat)
         assert raised == [] and got == want and len(got) == 62
         assert ctx_state(a) == ctx_state(b)
+
+    def test_sign_is_exact(self):
+        """``value``, ``values`` (with and without ``beat``, 70 rows
+        reaching the batch path) and ``gradient`` return f under MIN and
+        -f under MAX, bit for bit on +-0.0 and +-inf; NaN stays NaN."""
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.5])
+
+        def rows(P):
+            return specials[P[:, 0].astype(int)]
+
+        def fn(p):
+            return float(rows(p[None])[0])
+
+        vectorises(fn)(rows)
+        obj = Objective("SPECIALS", 1, BoxDomain(np.zeros(1), np.full(1, 6.0)),
+                        fn if self.path == "batch" else (lambda p: fn(p)),
+                        gradient_fn=lambda p: specials)
+        P = np.arange(7.0)[:, None]
+        for sense, sign in ((Sense.MIN, 1.0), (Sense.MAX, -1.0)):
+            want = [repr(sign * v) if v == v else "nan" for v in specials.tolist()]
+
+            def ctx():
+                return EvalContext(obj, EvalCounter(100), RngStream(0), sense)
+            assert [repr(ctx().value(p)) for p in P] == want
+            assert list(map(repr, ctx().values(P))) == want
+            assert list(map(repr, ctx().values(np.tile(P, (10, 1)), beat=-np.inf))) == want * 10
+            assert list(map(repr, ctx().gradient(P[0]).tolist())) == want
 
 
 class TestEvalContextValuesRowByRow(TestEvalContextValues):
@@ -573,10 +608,11 @@ class TestDeviation:
 
 
 def test_better_is_strict():
-    assert better(1.0, 2.0, Sense.MIN)
-    assert not better(2.0, 2.0, Sense.MIN)
-    assert better(2.0, 1.0, Sense.MAX)
-    assert not better(1.0, 1.0, Sense.MAX)
+    assert better(1.0, 2.0)
+    assert not better(2.0, 2.0)
+    # A MAX run compares negated values: 2.0 beats 1.0 as -2.0 < -1.0.
+    assert better(-2.0, -1.0)
+    assert not better(-1.0, -1.0)
 
 
 # NaN, +-0.0 and +-inf drawn often, next to ordinary floats.
@@ -585,16 +621,18 @@ ranked_floats = st.one_of(st.sampled_from([float("nan"), 0.0, -0.0, np.inf, -np.
 
 
 @settings(deadline=None, max_examples=500)
-@given(ranked_floats, ranked_floats, st.sampled_from(Sense))
-def test_better_ranks_nan_worst(a, b, sense):
+@given(ranked_floats, ranked_floats)
+def test_better_ranks_nan_worst(a, b):
     nan = float("nan")
-    assert better(1.0, nan, sense)
-    assert not better(nan, 1.0, sense)
-    assert not better(nan, nan, sense)
-    assert rank(nan, sense) == rank(-nan, sense)
-    assert rank(nan, sense) > max(rank(np.inf, sense), rank(-np.inf, sense))
-    # ``better`` is the strict order of ``rank``.
-    assert better(a, b, sense) == (rank(a, sense) < rank(b, sense))
+    assert better(1.0, nan)
+    assert not better(nan, 1.0)
+    assert not better(nan, nan)
+    assert rank(nan) == rank(-nan)
+    assert rank(nan) > max(rank(np.inf), rank(-np.inf))
+    # ``better`` is the strict order of ``rank``, on values and on the
+    # negated values a MAX run compares.
+    assert better(a, b) == (rank(a) < rank(b))
+    assert better(-a, -b) == (rank(-a) < rank(-b))
 
 
 def imported_modules(path: Path):

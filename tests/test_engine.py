@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,17 +101,24 @@ class TestSolve:
             assert r.generations == trace[-1][0], budget
 
     def test_max_sense_duality(self):
-        obj = make_objective("F2")
-        neg = Objective(name="F2neg", dim=obj.dim, domain=obj.domain,
-                        fn=lambda x: -obj.fn(x))
-        cfg_min = default_config("F2", seed=3)
-        cfg_max = default_config("F2", seed=3)
-        cfg_max = SgmConfig(**{**cfg_min.__dict__, "sense": Sense.MAX})
-        r_min = solve(obj, cfg_min)
-        r_max = solve(neg, cfg_max)
-        assert r_min.best_point == r_max.best_point
-        assert r_min.best_value == -r_max.best_value
-        assert r_min.evaluations == r_max.evaluations
+        """Maximising -f reproduces minimising f exactly: the same points,
+        evaluations and generations, with every value negated (repr tells
+        -0.0 from 0.0).  -f has no batch form, so it also runs row by row."""
+        def negated(r):
+            return repr((r.best_point, -r.best_value, r.evaluations, r.generations, r.sd,
+                         tuple((g, -v, p) for g, v, p in r.trace)))
+        for name in ("TP1", "BEALE", "F1", "F2", "F3", "F5"):
+            obj = make_objective(name)
+            neg = replace(obj, fn=lambda x, f=obj.fn: -f(x))
+            labelings = [LabelStrategy.BEST_NEIGHBOR]
+            if obj.gradient_fn is not None:
+                neg.gradient_fn = lambda x, g=obj.gradient_fn: -g(x)
+                labelings.append(LabelStrategy.GRADIENT)
+            for labeling in labelings:
+                cfg = replace(default_config(name, seed=3), labeling=labeling)
+                r_min = solve(obj, cfg)
+                r_max = solve(neg, replace(cfg, sense=Sense.MAX))
+                assert negated(r_min) == repr(r_max.without_wallclock()), (name, labeling)
 
     def test_sd_reported(self):
         obj = make_objective("TP1")
@@ -184,6 +193,26 @@ class TestSolve:
 
 
 class TestSolveValidation:
+    @staticmethod
+    def counted(name):
+        calls = []
+        obj = make_objective(name)
+        return replace(obj, fn=lambda p, f=obj.fn: calls.append(p) or f(p)), calls
+
+    def test_sense_must_be_a_sense_member(self):
+        # A string would leave the search half minimising, half maximising.
+        obj, calls = self.counted("TP1")
+        with pytest.raises(ValueError, match="sense"):
+            solve(obj, SgmConfig(sense="min"))
+        assert calls == []
+
+    def test_labeling_must_be_a_label_strategy_member(self):
+        # A string would take the gradient branch on an objective without one.
+        obj, calls = self.counted("F3")
+        with pytest.raises(ValueError, match="labeling"):
+            solve(obj, SgmConfig(labeling="best_neighbor"))
+        assert calls == []
+
     def test_gradient_rejected_without_gradient(self):
         cfg = SgmConfig(labeling=LabelStrategy.GRADIENT)
         with pytest.raises(ValueError):

@@ -34,13 +34,13 @@ class TestSelectBestVertex:
             vertex((1.0, 1.0), (2, 2), 2, -17.4),
             vertex((0.0, 0.0), (1, 1), 0, -36.0),
         ], 0, 1, True)
-        p, v = select_best_vertex(out, Sense.MIN)
+        p, v = select_best_vertex(out)
         assert tuple(p) == (0.0, 0.0) and v == -36.0
 
     def test_single_vertex(self):
         cell = initial_cell(make_objective("F1").domain)
         out = Phase1Outcome(cell, [vertex((0.0, 0.0, 0.0), (0, 0, 0), 0, 5.0)], 0, 0, False)
-        p, _ = select_best_vertex(out, Sense.MIN)
+        p, _ = select_best_vertex(out)
         assert tuple(p) == (0.0, 0.0, 0.0)
 
     def test_tie_breaks_lexicographic_rel(self):
@@ -49,29 +49,32 @@ class TestSelectBestVertex:
             vertex((1.0, -1.0), (2, 0), 1, -17.4),
             vertex((-1.0, -1.0), (0, 0), 0, -17.4),
         ], 0, 0, False)
-        p, _ = select_best_vertex(out, Sense.MIN)
+        p, _ = select_best_vertex(out)
         assert tuple(p) == (-1.0, -1.0)
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_nan_ranks_worst_and_all_nan_ties_go_to_lowest_rel(self, sense):
+        # Vertex values are in minimisation form: a MAX run's are negated.
         nan = float("nan")
+        sign = -1.0 if sense is Sense.MAX else 1.0
         cell = initial_cell(make_objective("TP1", bounds=1.0).domain)
         verts = [vertex((1.0, 1.0), (2, 2), 0, nan),
                  vertex((-1.0, 1.0), (0, 2), 0, nan),
-                 vertex((1.0, -1.0), (2, 0), 0, -np.inf)]
-        p, v = select_best_vertex(Phase1Outcome(cell, verts, 0, 0, False), sense)
-        assert tuple(p) == (1.0, -1.0) and v == -np.inf
-        p, v = select_best_vertex(Phase1Outcome(cell, verts[:2], 0, 0, False), sense)
+                 vertex((1.0, -1.0), (2, 0), 0, sign * -np.inf)]
+        p, v = select_best_vertex(Phase1Outcome(cell, verts, 0, 0, False))
+        assert tuple(p) == (1.0, -1.0) and v == sign * -np.inf
+        p, v = select_best_vertex(Phase1Outcome(cell, verts[:2], 0, 0, False))
         assert tuple(p) == (-1.0, 1.0) and v != v
 
     def test_max_sense(self):
+        # A MAX run's vertices hold negated values: -17.4 is the larger.
         cell = initial_cell(make_objective("TP1", bounds=1.0).domain)
         out = Phase1Outcome(cell, [
-            vertex((0.0, 0.0), (1, 1), 0, -36.0),
-            vertex((1.0, 1.0), (2, 2), 2, -17.4),
+            vertex((0.0, 0.0), (1, 1), 0, 36.0),
+            vertex((1.0, 1.0), (2, 2), 2, 17.4),
         ], 0, 0, True)
-        p, _ = select_best_vertex(out, Sense.MAX)
-        assert tuple(p) == (1.0, 1.0)
+        p, v = select_best_vertex(out)
+        assert tuple(p) == (1.0, 1.0) and v == 17.4
 
 
 class TestDiagonalDirections:
@@ -199,7 +202,7 @@ def reference_rays(state, ctx, config, directions):
             if not ctx.feasible(p):
                 continue
             v = ctx.value(p)
-            if better(v, state.s_value, ctx.sense):
+            if better(v, state.s_value):
                 return p, v
     return None
 
@@ -219,7 +222,7 @@ def reference_rotations(state, ctx, config, directions):
                 continue
             v = ctx.value(p)
             used += 1
-            if better(v, state.s_value, ctx.sense):
+            if better(v, state.s_value):
                 state.rotations_used += used
                 return p, v
     state.rotations_used += used
@@ -296,10 +299,10 @@ def sweep_start(case):
     for p in warm:
         if ctx.feasible(p) and ctx.counter.remaining > 1:
             ctx.value(p)
-    s_value = ctx.value(s) if obj.stochastic else obj.fn(s)
+    s_value = ctx.value(s) if obj.stochastic else ctx.sign * obj.fn(s)
     state = RefineState(s=s.copy(), s_value=s_value, scale=scale)
     dirs = sweep_directions(obj.dim, s, obj.domain.center)
-    return dirs, SgmConfig(sense=sense, trm_max=trm), ctx, state
+    return dirs, SgmConfig(trm_max=trm), ctx, state
 
 
 def all_cases(n):
@@ -431,7 +434,7 @@ class TestRunPhase2:
         out, ctx = outcome_for(obj, tf=2)
         cfg = SgmConfig(trm_max=0, tc_max=0)
         state, gens, trace = run_phase2(out, obj, cfg, ctx)
-        best_vertex, best_val = select_best_vertex(out, Sense.MIN)
+        best_vertex, best_val = select_best_vertex(out)
         assert np.array_equal(state.s, best_vertex)
         assert gens == 0
 

@@ -143,18 +143,19 @@ class TestBestNeighbor:
         assert tuple(d) == (-1.0, -1.0)
 
 
-def reference_best(vals, sense):
+def reference_best(vals):
     """The row ``better`` picks, one comparison at a time."""
     best = 0
     for i in range(1, len(vals)):
-        if better(vals[i], vals[best], sense):
+        if better(vals[i], vals[best]):
             best = i
     return best
 
 
 class TestBestNeighborRanking:
     """best_neighbor picks the same row as ``better``, the first of smallest
-    ``rank``, over values with NaN, +-inf and ties, under both senses."""
+    ``rank``, over values with NaN, +-inf and ties, under both senses: a
+    MAX context ranks the negated values."""
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_matches_reference(self, sense):
@@ -166,10 +167,12 @@ class TestBestNeighborRanking:
             vals = rng.choice(pool, size=len(P))
             table = {tuple(q): v for q, v in zip(P.tolist(), vals.tolist())}
             obj = Objective("TABLE", 2, box(-2, 2), lambda q: table[tuple(q.tolist())])
-            c, d = best_neighbor(make_ctx(obj, sense=sense), p, h)
-            want = reference_best(vals.tolist(), sense)
+            ctx = make_ctx(obj, sense=sense)
+            c, d = best_neighbor(ctx, p, h)
+            mins = (ctx.sign * vals).tolist()
+            want = reference_best(mins)
             # The row ``better`` picks is the first of smallest ``rank``.
-            assert want == min(range(len(P)), key=lambda i: (rank(vals[i], sense), i))
+            assert want == min(range(len(P)), key=lambda i: (rank(mins[i]), i))
             assert c.tolist() == P[want].tolist(), vals
             assert d.tolist() == (P[want] - p).tolist()
 
@@ -255,8 +258,7 @@ def is_complete(labels, n=2):
     """``_select_cell``'s completeness flag for one level-0 cell in n
     dimensions whose corners carry ``labels``."""
     cell = initial_cell(box(-1, 1, n))
-    return _select_cell([cell], [labeled_corners(cell, labels, [0.0] * len(labels))],
-                        Sense.MIN)[2]
+    return _select_cell([cell], [labeled_corners(cell, labels, [0.0] * len(labels))])[2]
 
 
 class TestCompletelyLabeled:
@@ -282,29 +284,34 @@ class TestSelectCell:
         cells = initial_cell(box(-1, 1)).subdivide()[:2]
         labeled = [labeled_corners(cells[0], [0, 1, 0, 1], [nan, 5.0, nan, 5.0]),
                    labeled_corners(cells[1], [0, 1, 0, 1], [1.0, 2.0, 1.0, 2.0])]
-        cell, verts, complete = _select_cell(cells, labeled, Sense.MIN)
+        cell, verts, complete = _select_cell(cells, labeled)
         assert cell is cells[1] and verts is labeled[1] and not complete
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_more_labels_then_rank_then_index(self, sense):
+        # Vertex values are in minimisation form: a MAX run's are negated.
         nan = float("nan")
+        sign = -1.0 if sense is Sense.MAX else 1.0
         cells = initial_cell(box(-1, 1)).subdivide()
-        labeled = [labeled_corners(cells[0], [0, 0, 0, 0], [-9.0, 9.0, 0.0, 0.0]),
-                   labeled_corners(cells[1], [0, 1, 1, 0], [nan, nan, nan, nan]),
-                   labeled_corners(cells[2], [0, 1, 1, 0], [2.0, nan, 4.0, 3.0]),
-                   labeled_corners(cells[3], [1, 0, 0, 1], [3.0, 5.0, 3.0, 3.0])]
-        assert _select_cell(cells, labeled, sense)[0] is cells[2 if sense is Sense.MIN else 3]
-        labeled[3] = labeled_corners(cells[3], [1, 0, 0, 1], [2.0, 4.0, 2.0, 2.0])
-        assert _select_cell(cells, labeled, sense)[0] is cells[2]
+
+        def corners(i, labels, values):
+            return labeled_corners(cells[i], labels, [sign * v for v in values])
+        labeled = [corners(0, [0, 0, 0, 0], [-9.0, 9.0, 0.0, 0.0]),
+                   corners(1, [0, 1, 1, 0], [nan, nan, nan, nan]),
+                   corners(2, [0, 1, 1, 0], [2.0, nan, 4.0, 3.0]),
+                   corners(3, [1, 0, 0, 1], [3.0, 5.0, 3.0, 3.0])]
+        assert _select_cell(cells, labeled)[0] is cells[2 if sense is Sense.MIN else 3]
+        labeled[3] = corners(3, [1, 0, 0, 1], [2.0, 4.0, 2.0, 2.0])
+        assert _select_cell(cells, labeled)[0] is cells[2]
 
     def test_complete_cell_needs_its_whole_plan(self):
         cells = initial_cell(box(-1, 1)).subdivide()[:2]
         labeled = [labeled_corners(cells[0], [0, 1, 2], [0.0, 0.0, 0.0]),
                    labeled_corners(cells[1], [2, 1, 0, 0], [9.0, 9.0, 9.0, 9.0])]
-        assert _select_cell(cells, labeled, Sense.MIN) == (cells[1], labeled[1], True)
+        assert _select_cell(cells, labeled) == (cells[1], labeled[1], True)
         labeled[1] = []
-        assert _select_cell(cells, labeled, Sense.MIN) == (cells[0], labeled[0], False)
-        assert _select_cell(cells, [[], []], Sense.MIN) == (cells[0], [], False)
+        assert _select_cell(cells, labeled) == (cells[0], labeled[0], False)
+        assert _select_cell(cells, [[], []]) == (cells[0], [], False)
 
 
 class TestSubdivide:
