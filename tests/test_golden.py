@@ -119,6 +119,24 @@ LONG_WALK_DIGESTS = {
     ("F1", 700): "15257f534683d3d90251f4be17a394d5a6fe2eaca62e5d3187a2a8cbe63da32b",
 }
 
+# Budget stops inside phase 1.  A 6-D shifted sphere (seed 0) labels round
+# 1 with the full 728-offset Moore set; its 5th round-1 vertex ends at
+# 1,044 evaluations, so budget 1,044 stops at a vertex boundary and 1,045
+# one row into the next vertex.  F3 (default_config, seed 0) ends its
+# rounds at 243, 3,125 and 10,658 evaluations, and F4 (seed 1) at 1,863,
+# 4,717 and 8,562, with the capped corner plan and the center-hint row.
+# batched_bump(3) under Sense.MAX ends round 2 at 407.  Each case runs
+# through its batch form and row by row, with one digest for both.
+PHASE1_STOP_DIGESTS = {
+    ("SPHERE6", 1044): "5d73a17c78ac214ee1260d367ec98f9ce399672ff4269bc332b70bcb3a06adb7",
+    ("SPHERE6", 1045): "576921ca3be702a0c7114f307b2425fd1e4fc3d129f1e770ce1c805e2165f304",
+    ("F3", 500): "c7ffda0834f795eadd4418835a3399f97276f957afd118589711a0d75f341e01",
+    ("F3", 3000): "60434abc998b3d5e9ca9099f085e16525f156f4461f9e27b8b67f483aaee992b",
+    ("F3", 9000): "669e8e6284ea5a8609c263ebaaf9511bc238537f493f668bf81afc5ed09e77e2",
+    ("F4", 3000): "14f47fc66d4905ce018928803048876194b3f537ab778fc76e2bfa8ad696f5ac",
+    ("BUMP3", 300): "7fce4cc8964f8a23481d816c360ed3ab01c493b5ddaf7ca912fbcf6bb77a2b5d",
+}
+
 SA_DIGESTS = {
     "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
     "F4": "19ecbcfaef987abe62dcdeddd67216dfce74e60a789e147243404bea747498c8",
@@ -280,6 +298,41 @@ def test_batch_forms_do_not_change_results(name):
     obj, cfg = make_objective(name), default_config(name)
     got = solve(obj, cfg).without_wallclock()
     assert solve(row_by_row(obj), cfg).without_wallclock() == got
+
+
+def batched_sphere(n: int) -> Objective:
+    """``shifted_sphere(n)`` evaluated through a registered batch form."""
+    shift = np.random.default_rng(20130).uniform(-5.12, 5.12, n)
+
+    def rows(P):
+        return ((P - shift) ** 2).sum(axis=1)
+
+    def fn(p):
+        return float(rows(p[None])[0])
+
+    vectorises(fn)(rows)
+    lo = np.full(n, -5.12)
+    return Objective(name=f"SPHERE{n}", dim=n, domain=BoxDomain(lo, -lo), fn=fn)
+
+
+def phase1_stop_case(name, budget):
+    if name == "SPHERE6":
+        return batched_sphere(6), SgmConfig(eval_budget=budget, seed=0)
+    if name == "BUMP3":
+        return batched_bump(3), SgmConfig(sense=Sense.MAX, eval_budget=budget)
+    seed = 1 if name == "F4" else 0
+    return make_objective(name), replace(default_config(name, seed=seed), eval_budget=budget)
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "rows"])
+@pytest.mark.parametrize("name,budget", sorted(PHASE1_STOP_DIGESTS))
+def test_sgm_budget_out_in_phase1(name, budget, batched):
+    obj, cfg = phase1_stop_case(name, budget)
+    if not batched:
+        obj = row_by_row(obj)
+    r = solve(obj, cfg)
+    assert r.evaluations == budget
+    assert digest(r) == PHASE1_STOP_DIGESTS[(name, budget)]
 
 
 def test_sgm_rotation_cap_mid_sweep():
