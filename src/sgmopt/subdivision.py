@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, LabelStrategy,
-                   RefinementLimit, SgmConfig, box_mask, rank)
+                   RefinementLimit, SgmConfig, box_mask, rank, row_keys)
 # Unused here, but perfbench/trace.py wraps subdivision.contains.
 from .core import contains  # noqa: F401
 
@@ -31,6 +31,9 @@ from .core import contains  # noqa: F401
 MOORE_FULL_MAX_DIM = 6
 CORNER_ENUM_MAX_DIM = 12
 MAX_LEVEL = 40
+# Rows of one phase-1 labeling chunk: bounds the memory of a batch, not a
+# tuning knob.
+CHUNK_ROWS = 1024
 
 
 def grid_point(lo: np.ndarray, k, step: np.ndarray) -> np.ndarray:
@@ -165,47 +168,56 @@ def moore_offsets(n: int) -> np.ndarray:
     return off
 
 
-def neighborhood(p, h, box: BoxDomain, center_hint=None) -> np.ndarray:
-    """Moore neighborhood of p at per-axis steps h, clipped to the box, as
-    an (m, n) array of the feasible rows of ``p + moore_offsets(n) * h``.
+def neighborhood(V, h, box: BoxDomain, hints=None):
+    """Moore neighborhoods of the rows of the (k, n) batch ``V`` at per-axis
+    steps h, as ``(Q, mask)``: Q is ``V[:, None] + moore_offsets(n) * h``,
+    shape (k, m, n), and ``mask`` marks the rows of Q inside the box.
 
-    Above MOORE_FULL_MAX_DIM dimensions the capped offset set gets one more
-    row, the diagonal toward ``center_hint``, unless that is zero or one of
-    the two full diagonals.
+    Above MOORE_FULL_MAX_DIM dimensions, with ``hints`` (one point per row
+    of V), each neighborhood gets one more row, the diagonal toward its
+    hint, masked out when that is zero or one of the two full diagonals.
     """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    offsets = moore_offsets(p.size)
-    if p.size > MOORE_FULL_MAX_DIM and center_hint is not None:
-        inward = np.sign(np.asarray(center_hint, dtype=float) - p)
-        if inward.any() and not ((inward == 1.0).all() or (inward == -1.0).all()):
-            offsets = np.vstack([offsets, inward])
-    Q = p + offsets * h
-    return Q[box_mask(box, Q)]
+    V = np.asarray(V, dtype=float)
+    Q = V[:, None] + moore_offsets(V.shape[1]) * h
+    if V.shape[1] <= MOORE_FULL_MAX_DIM or hints is None:
+        return Q, box_mask(box, Q)
+    inward = np.sign(hints - V)
+    Q = np.concatenate([Q, (V + inward * h)[:, None]], axis=1)
+    mask = box_mask(box, Q)
+    # Zero and the two full diagonals are the inward rows of one value.
+    mask[:, -1] &= (inward != inward[:, :1]).any(axis=1)
+    return Q, mask
 
 
-def best_neighbor(ctx: EvalContext, p, h, center_hint=None):
-    """Best point over the Moore neighborhood of p including p itself.
+def best_neighbor(ctx: EvalContext, V, h, hints=None):
+    """Best point over the Moore neighborhood of each row v of the (k, n)
+    batch ``V``, v itself included, evaluated in one ``ctx.values`` call.
 
-    Returns (c, d) with d = c - p; d is zero exactly when p beats or ties
-    every neighbor (p wins ties, neighbor ties go to enumeration order).
+    Returns (C, D, f): the best points, D = C - V, and the values of the
+    rows of V.  A row of D is zero exactly when v beats or ties every
+    neighbor (v wins ties, neighbor ties go to enumeration order).
     """
-    p = np.asarray(p, dtype=float)
-    P = np.vstack([p, neighborhood(p, h, ctx.obj.domain, center_hint)])
-    vals = np.array(ctx.values(P))
-    # ``better``'s ranking in one reduction: the first lowest value among
-    # the non-NaN rows, or row 0 when every value is NaN.
-    ok = np.flatnonzero(vals == vals)
-    best = ok[np.argmin(vals[ok])] if ok.size else 0
-    return P[best], P[best] - p
+    V = np.asarray(V, dtype=float)
+    Q, mask = neighborhood(V, h, ctx.obj.domain, hints)
+    R = np.concatenate([V[:, None], Q], axis=1)
+    M = np.concatenate([np.ones((len(V), 1), dtype=bool), mask], axis=1)
+    A = np.full(M.shape, np.nan)
+    A[M] = ctx.values(R[M])
+    # ``better``'s ranking in one reduction per row: the first lowest value
+    # among the non-NaN entries, or entry 0 (v) when every value is NaN.
+    # Rows outside the box are NaN here, so they never win.
+    low = np.fmin.reduce(A, axis=1)
+    C = R[np.arange(len(V)), np.argmax(A == low[:, None], axis=1)]
+    return C, C - V, A[:, 0]
 
 
-def label_by_direction(d) -> int:
-    """0 when no component of the improvement direction is negative,
-    otherwise the largest 1-based index with a negative component."""
-    d = np.asarray(d, dtype=float)
-    neg = np.flatnonzero(d < 0)
-    return 0 if neg.size == 0 else int(neg[-1]) + 1
+def label_by_direction(D):
+    """Per row of D (or for the one vector D): 0 when no component of the
+    improvement direction is negative, otherwise the largest 1-based index
+    with a negative component."""
+    neg = np.asarray(D, dtype=float) < 0
+    last = neg.shape[-1] - np.argmax(neg[..., ::-1], axis=-1)
+    return np.where(neg.any(axis=-1), last, 0)
 
 
 def label_by_gradient(w) -> int:
@@ -216,29 +228,105 @@ def label_by_gradient(w) -> int:
     return 0 if neg.size == 0 else int(neg[0]) + 1
 
 
-def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
-                 config: SgmConfig) -> LabeledVertex:
-    """Label the vertex of ``cell``'s grid at integer grid coordinates
-    ``rel`` (a corner's ``cell.corner_rel(index)``).
+def label_vertices(ctx: EvalContext, cell: GridCell, rels, hints,
+                   config: SgmConfig) -> List[LabeledVertex]:
+    """Label the vertices of ``cell``'s grid at the integer grid coordinates
+    ``rels`` (a (k, n) array), with one ``ctx.values`` call.
 
     The neighborhood step is half the cell step (the next grid's spacing):
     labels then mirror where the refined grid's improvement step would move
-    each corner.  Gradient labeling reads ``ctx.gradient``, after nudging
-    boundary vertices inward so the gradient is taken at an interior point.
+    each vertex; ``hints`` are the neighborhoods' center hints (see
+    ``neighborhood``).  Gradient labeling evaluates the vertices alone and
+    reads ``ctx.gradient`` at each, after nudging boundary vertices inward
+    so the gradient is taken at an interior point.
     """
-    v = grid_point(cell.lo, rel, cell.step)
-    value = ctx.value(v)
+    V = grid_point(cell.lo, rels, cell.step)
     if config.labeling is LabelStrategy.BEST_NEIGHBOR:
-        h = 0.5 * cell.step
-        _, d = best_neighbor(ctx, v, h, center_hint=cell.center)
-        label = label_by_direction(d)
+        _, D, f = best_neighbor(ctx, V, 0.5 * cell.step, hints)
+        labels, values = label_by_direction(D).tolist(), f.tolist()
     else:
+        values = ctx.values(V)
         box = ctx.obj.domain
         off = 1e-9 * cell.step
-        x = np.where(v <= box.lo, v + off, v)
-        x = np.where(v >= box.hi, x - off, x)
-        label = label_by_gradient(ctx.gradient(x))
-    return LabeledVertex(tuple(float(c) for c in v), rel, label, value)
+        X = np.where(V <= box.lo, V + off, V)
+        X = np.where(V >= box.hi, X - off, X)
+        labels = [label_by_gradient(ctx.gradient(x)) for x in X]
+    return [LabeledVertex(tuple(v), tuple(r), lab, val) for v, r, lab, val
+            in zip(V.tolist(), rels.tolist(), labels, values)]
+
+
+def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
+                 config: SgmConfig) -> LabeledVertex:
+    """``label_vertices`` of the one vertex at grid coordinates ``rel`` (a
+    corner's ``cell.corner_rel(index)``), hinted toward ``cell.center``."""
+    return label_vertices(ctx, cell, np.array([rel]), cell.center[None], config)[0]
+
+
+def _corner_blocks(candidates: List[GridCell]):
+    """Yield ``(i, R)`` over the corner plans of the same-level
+    ``candidates`` in (candidate, corner) order: R holds the integer grid
+    coordinates of up to CHUNK_ROWS corners of candidate i, as rows of
+    ``base_k`` plus the corner index's bits."""
+    plan = np.array(candidates[0].corner_indices(), dtype=np.int64)
+    bits = ((plan[:, None] >> np.arange(candidates[0].dim)) & 1).astype(np.int8)
+    for i, cell in enumerate(candidates):
+        base = np.array(cell.base_k, dtype=np.int64)
+        for start in range(0, len(bits), CHUNK_ROWS):
+            yield i, bits[start:start + CHUNK_ROWS] + base
+
+
+def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig):
+    """Label the corner plan of every candidate, walking (candidate, corner)
+    in order and labeling each distinct vertex once, in chunks.
+
+    Returns ``(labeled, budget_hit)``: each candidate's labeled corners,
+    cut on BudgetExceeded at the first corner whose vertex was not labeled
+    (later candidates get none).  A vertex takes the center hint of the
+    candidate that reached it first.  A chunk holds as many vertices as fit
+    in ``min(remaining budget, CHUNK_ROWS)`` rows, at least one, counting
+    a vertex as its full neighborhood: a chunk of several vertices then
+    never runs out of budget, and a one-vertex chunk commits exactly the
+    evaluations that fit.  Corners are enumerated only as far as the
+    chunks need them, so a round the budget stops early stays small.
+    """
+    grid, n = candidates[0], candidates[0].dim
+    hinted = config.labeling is LabelStrategy.BEST_NEIGHBOR and n > MOORE_FULL_MAX_DIM
+    width = 1 if config.labeling is LabelStrategy.GRADIENT else 1 + len(moore_offsets(n)) + hinted
+    verts = []                 # labeled vertices, by id
+    walks = [[] for _ in candidates]    # vertex id of each corner walked
+
+    def label_chunks(todo, hints, last):
+        """Label chunks of the found vertices ``todo`` (and their hints),
+        only full ones unless ``last``; return what is left."""
+        while len(todo):
+            k = max(1, min(ctx.counter.remaining, CHUNK_ROWS) // width)
+            if len(todo) < k and not last:
+                break
+            verts.extend(label_vertices(ctx, grid, todo[:k], hints[:k] if hinted else None,
+                                        config))
+            todo, hints = todo[k:], hints[k:]
+        return todo, hints
+
+    seen: dict = {}            # row_keys of grid coordinates -> vertex id
+    todo, hints = np.empty((0, n), dtype=np.int64), np.empty((0, n))
+    budget_hit = False
+    try:
+        for i, R in _corner_blocks(candidates):
+            ids = [seen.setdefault(key, len(seen)) for key in row_keys(R)]
+            walks[i] += ids
+            new = R[np.array(ids) >= len(verts) + len(todo)]
+            if hinted:
+                hints = np.concatenate([hints, np.tile(candidates[i].center, (len(new), 1))])
+            todo, hints = label_chunks(np.concatenate([todo, new]), hints, last=False)
+        label_chunks(todo, hints, last=True)
+    except BudgetExceeded:
+        budget_hit = True
+    labeled = [[] for _ in candidates]
+    for lab, ids in zip(labeled, walks):
+        lab += [verts[i] for i in itertools.takewhile(lambda i: i < len(verts), ids)]
+        if len(lab) < len(ids):
+            break
+    return labeled, budget_hit
 
 
 def _select_cell(candidates, labeled):
@@ -271,22 +359,9 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
     rounds_done = 0
     start_count = ctx.counter.count
     trace = []
-    budget_hit = False
     for r in range(config.tf_rounds + 1):
         ctx.new_epoch()
-        label_cache = {}
-        labeled = [[] for _ in candidates]
-        try:
-            for ci, cell in enumerate(candidates):
-                for idx in cell.corner_indices():
-                    rel = cell.corner_rel(idx)
-                    vert = label_cache.get(rel)
-                    if vert is None:
-                        vert = label_vertex(ctx, cell, rel, config)
-                        label_cache[rel] = vert
-                    labeled[ci].append(vert)
-        except BudgetExceeded:
-            budget_hit = True
+        labeled, budget_hit = label_round(ctx, candidates, config)
         sel, verts, comp = _select_cell(candidates, labeled)
         if verts or r == 0:
             selected, selected_verts, complete = sel, verts, comp

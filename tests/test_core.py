@@ -566,11 +566,14 @@ class TestBatchForm:
         assert len(calls) == 3 + 1 + 600 and seen == []
 
     def test_error_becomes_objective_error(self):
+        sent = []
+
         def fn(p):
             return float(np.sum(p))
 
         @vectorises(fn)
         def fn_rows(P):
+            sent.append(len(P))
             raise ZeroDivisionError("batch")
 
         obj = Objective("RAISES", 2, box2(-1.0, 1.0), fn)
@@ -587,14 +590,14 @@ class TestBatchForm:
         assert ctx.value(np.array([1.0, 1.0])) == 2.0
         assert ctx.counter.count == 3
 
-        # Through solve, ``partial`` reports the first box corner, which
-        # phase 1 evaluates alone, and counts its three in-box Moore
-        # neighbours, whose batch raised.
+        # Through solve, phase 1's first chunk sends the four box corners
+        # and their Moore neighbours, the nine points of the 3 x 3 grid, to
+        # the batch form in one call; it raises before any value is known,
+        # so there is no ``partial``.
         with pytest.raises(ObjectiveError) as info:
             solve(obj, SgmConfig(eval_budget=100))
-        partial = info.value.partial
-        assert (partial.best_point, partial.best_value) == ((-1.0, -1.0), -2.0)
-        assert partial.evaluations == 4
+        assert info.value.partial is None
+        assert sent == [2, 9]
 
 
 class TestDeviation:

@@ -177,9 +177,10 @@ class TestSolve:
             solve(obj, SgmConfig(labeling=LabelStrategy.GRADIENT))
         err = info.value
         assert isinstance(err.__cause__, ZeroDivisionError)
-        # The first corner is evaluated before its gradient is read.
-        assert err.partial.evaluations == 1
-        assert err.partial.best_point == (-1.0, -1.0)
+        # Phase 1 evaluates the four box corners in one chunk, then reads
+        # the first corner's gradient.
+        assert err.partial.evaluations == 4
+        assert err.partial.best_point == (1.0, 1.0)
 
     def test_raising_first_call_has_no_partial(self):
         def fn(x):

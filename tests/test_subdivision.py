@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from sgmopt.core import (BoxDomain, EvalContext, EvalCounter, LabelStrategy,
-                         Objective, RefinementLimit, RngStream, Sense,
-                         SgmConfig, better, contains, rank)
+from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
+                         LabelStrategy, Objective, RefinementLimit, RngStream,
+                         Sense, SgmConfig, better, box_mask, contains, rank,
+                         vectorises)
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
-                                best_neighbor, initial_cell, label_by_direction,
-                                label_by_gradient, label_vertex, neighborhood,
-                                run_phase1)
+                                best_neighbor, grid_point, initial_cell,
+                                label_by_direction, label_by_gradient, label_round,
+                                label_vertex, moore_offsets, neighborhood, run_phase1)
 from sgmopt.testbed import make_objective
 
 
@@ -37,21 +38,28 @@ class TestInitialCell:
         assert {tuple(cell.corner(i)) for i in range(2)} == {(0.0,), (1.0,)}
 
 
+def feasible_neighbors(p, h, b, center_hint=None):
+    """The in-box rows of ``neighborhood`` for the one point p, in order."""
+    hints = None if center_hint is None else np.asarray(center_hint, dtype=float)[None]
+    Q, mask = neighborhood(np.asarray(p, dtype=float)[None], h, b, hints)
+    return Q[0][mask[0]]
+
+
 class TestNeighborhood:
     def test_full_moore_interior(self):
-        pts = neighborhood(np.zeros(2), np.ones(2), box(-1, 1))
+        pts = feasible_neighbors(np.zeros(2), np.ones(2), box(-1, 1))
         assert len(pts) == 8
 
     def test_corner_clipping(self):
-        pts = neighborhood(np.array([-1.0, -1.0]), np.ones(2), box(-1, 1))
+        pts = feasible_neighbors(np.array([-1.0, -1.0]), np.ones(2), box(-1, 1))
         assert [tuple(p) for p in pts] == [(-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)]
 
     def test_1d_boundary(self):
-        pts = neighborhood(np.array([0.0]), np.array([0.5]), box(0, 1, n=1))
+        pts = feasible_neighbors(np.array([0.0]), np.array([0.5]), box(0, 1, n=1))
         assert [tuple(p) for p in pts] == [(0.5,)]
 
     def test_lexicographic_order(self):
-        pts = neighborhood(np.zeros(2), np.ones(2), box(-2, 2))
+        pts = feasible_neighbors(np.zeros(2), np.ones(2), box(-2, 2))
         expected = [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0), (0.0, -1.0),
                     (0.0, 1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)]
         assert [tuple(p) for p in pts] == expected
@@ -60,7 +68,7 @@ class TestNeighborhood:
         n = 30
         b = BoxDomain(np.full(n, -1.28), np.full(n, 1.28))
         p = np.full(n, -1.28)
-        pts = neighborhood(p, np.full(n, 1.28), b, center_hint=np.zeros(n))
+        pts = feasible_neighbors(p, np.full(n, 1.28), b, center_hint=np.zeros(n))
         # feasible: +h per axis and the all-up diagonal reaching the center
         assert len(pts) == n + 1
         assert any(np.allclose(q, 0.0) for q in pts)
@@ -106,40 +114,51 @@ class TestNeighborhoodMatchesReference:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bitwise_in_order(self, n):
         for p, h, b, hint in neighborhood_cases(n):
-            got = neighborhood(p, h, b, center_hint=hint)
+            got = feasible_neighbors(p, h, b, center_hint=hint)
             want = reference_neighborhood(p, h, b, center_hint=hint)
             assert [repr(q.tolist()) for q in got] == [repr(q.tolist()) for q in want]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batch_rows_match_one_point_calls(self, n):
+        cases = neighborhood_cases(n)
+        h, b = cases[0][1], cases[0][2]
+        V = np.array([p for p, _, _, _ in cases])
+        hints = np.array([0.5 * (b.lo + b.hi) if c is None else c for _, _, _, c in cases])
+        Q, mask = neighborhood(V, h, b, hints)
+        for q, m, p, c in zip(Q, mask, V, hints):
+            want = reference_neighborhood(p, h, b, center_hint=c)
+            assert [repr(r.tolist()) for r in q[m]] == [repr(r.tolist()) for r in want]
 
 
 class TestBestNeighbor:
     def test_tp1_corner_maps_to_origin(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
-        c, d = best_neighbor(ctx, np.array([-1.0, -1.0]), np.ones(2))
+        (c,), (d,), _ = best_neighbor(ctx, np.array([[-1.0, -1.0]]), np.ones(2))
         assert tuple(c) == (0.0, 0.0)
         assert tuple(d) == (1.0, 1.0)
 
     def test_global_min_has_zero_direction(self):
         obj = make_objective("F1")
         ctx = make_ctx(obj)
-        c, d = best_neighbor(ctx, np.zeros(3), np.full(3, 1.0))
+        _, (d,), _ = best_neighbor(ctx, np.zeros((1, 3)), np.full(3, 1.0))
         assert tuple(d) == (0.0, 0.0, 0.0)
 
     def test_tp1_upper_corner(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
-        _, d = best_neighbor(ctx, np.array([1.0, 1.0]), np.ones(2))
+        _, (d,), _ = best_neighbor(ctx, np.array([[1.0, 1.0]]), np.ones(2))
         assert tuple(d) == (-1.0, -1.0)
 
     def test_point_wins_ties(self):
         ctx = make_ctx(Objective("FLAT", 2, box(-2, 2), lambda p: 1.0))
-        _, d = best_neighbor(ctx, np.array([1.0, 1.0]), np.ones(2))
+        _, (d,), _ = best_neighbor(ctx, np.array([[1.0, 1.0]]), np.ones(2))
         assert tuple(d) == (0.0, 0.0)
 
     def test_neighbor_ties_go_to_enumeration_order(self):
         # -max|x_i|: all eight neighbors of 0 tie, below 0 itself
         obj = Objective("PEAK", 2, box(-2, 2), lambda p: -float(np.max(np.abs(p))))
-        _, d = best_neighbor(make_ctx(obj), np.zeros(2), np.ones(2))
+        _, (d,), _ = best_neighbor(make_ctx(obj), np.zeros((1, 2)), np.ones(2))
         assert tuple(d) == (-1.0, -1.0)
 
 
@@ -161,14 +180,14 @@ class TestBestNeighborRanking:
     def test_matches_reference(self, sense):
         rng = np.random.default_rng(11)
         p, h = np.zeros(2), np.ones(2)
-        P = np.vstack([p, neighborhood(p, h, box(-2, 2))])
+        P = np.vstack([p, feasible_neighbors(p, h, box(-2, 2))])
         pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1.0, -1.0])
         for _ in range(400):
             vals = rng.choice(pool, size=len(P))
             table = {tuple(q): v for q, v in zip(P.tolist(), vals.tolist())}
             obj = Objective("TABLE", 2, box(-2, 2), lambda q: table[tuple(q.tolist())])
             ctx = make_ctx(obj, sense=sense)
-            c, d = best_neighbor(ctx, p, h)
+            (c,), (d,), _ = best_neighbor(ctx, p[None], h)
             mins = (ctx.sign * vals).tolist()
             want = reference_best(mins)
             # The row ``better`` picks is the first of smallest ``rank``.
@@ -179,14 +198,14 @@ class TestBestNeighborRanking:
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
     def test_all_nan_keeps_the_point(self, sense):
         obj = Objective("NAN", 2, box(-2, 2), lambda q: float("nan"))
-        _, d = best_neighbor(make_ctx(obj, sense=sense), np.zeros(2), np.ones(2))
+        _, (d,), _ = best_neighbor(make_ctx(obj, sense=sense), np.zeros((1, 2)), np.ones(2))
         assert d.tolist() == [0.0, 0.0]
 
     def test_nan_point_loses_to_infinite_neighbour(self):
         # Under MAX, even -inf beats NaN.
         obj = Objective("NANINF", 2, box(-2, 2),
                         lambda q: float("nan") if not q.any() else -np.inf)
-        _, d = best_neighbor(make_ctx(obj, sense=Sense.MAX), np.zeros(2), np.ones(2))
+        _, (d,), _ = best_neighbor(make_ctx(obj, sense=Sense.MAX), np.zeros((1, 2)), np.ones(2))
         assert d.tolist() == [-1.0, -1.0]
 
 
@@ -247,6 +266,143 @@ class TestLabelVertex:
         cell = initial_cell(obj.domain)
         v = label_vertex(ctx, cell, cell.corner_rel(0), SgmConfig())
         assert v.value == obj.fn(np.asarray(v.point))
+
+
+# The per-vertex labeling that ``label_round`` replaced, kept as its
+# reference: one ``value`` call for the vertex, one neighborhood, one
+# ``values`` call on [v, neighbors], and a label cache per round.
+
+def reference_vertex_neighborhood(p, h, box, center_hint):
+    offsets = moore_offsets(p.size)
+    if p.size > MOORE_FULL_MAX_DIM and center_hint is not None:
+        inward = np.sign(np.asarray(center_hint, dtype=float) - p)
+        if inward.any() and not ((inward == 1.0).all() or (inward == -1.0).all()):
+            offsets = np.vstack([offsets, inward])
+    Q = p + offsets * h
+    return Q[box_mask(box, Q)]
+
+
+def reference_label_vertex(ctx, cell, rel, config):
+    v = grid_point(cell.lo, rel, cell.step)
+    value = ctx.value(v)
+    if config.labeling is LabelStrategy.BEST_NEIGHBOR:
+        P = np.vstack([v, reference_vertex_neighborhood(v, 0.5 * cell.step, ctx.obj.domain,
+                                                        cell.center)])
+        d = P[reference_best(ctx.values(P))] - v
+        neg = np.flatnonzero(d < 0)
+        label = 0 if neg.size == 0 else int(neg[-1]) + 1
+    else:
+        box = ctx.obj.domain
+        off = 1e-9 * cell.step
+        x = np.where(v <= box.lo, v + off, v)
+        x = np.where(v >= box.hi, x - off, x)
+        label = label_by_gradient(ctx.gradient(x))
+    return LabeledVertex(tuple(float(c) for c in v), rel, label, value)
+
+
+def reference_label_round(ctx, candidates, config):
+    label_cache = {}
+    labeled = [[] for _ in candidates]
+    try:
+        for ci, cell in enumerate(candidates):
+            for idx in cell.corner_indices():
+                rel = cell.corner_rel(idx)
+                vert = label_cache.get(rel)
+                if vert is None:
+                    vert = reference_label_vertex(ctx, cell, rel, config)
+                    label_cache[rel] = vert
+                labeled[ci].append(vert)
+    except BudgetExceeded:
+        return labeled, True
+    return labeled, False
+
+
+def patchy(n, batched):
+    """A bowl with ties, NaN, +inf and -inf on parts of the box and a band
+    of -0.0, with or without a registered batch form."""
+    def rows(P):
+        f = np.round(((P - 0.3) ** 2).sum(axis=1), 1)
+        f = np.where((P[:, -1] >= 0.4) & (P[:, -1] <= 0.6), -0.0, f)
+        f = np.where(P[:, 0] > 1.0, np.nan, f)
+        f = np.where((P[:, 0] < -0.7) & (P[:, -1] < -0.7), np.inf, f)
+        return np.where((P[:, 0] > 0.5) & (P[:, -1] < -0.5), -np.inf, f)
+
+    def fn(p):
+        return float(rows(p[None])[0])
+
+    if batched:
+        vectorises(fn)(rows)
+    lo = np.full(n, -1.0)
+    lo[0] = -1.25
+    return Objective(f"PATCHY{n}", n, BoxDomain(lo, np.full(n, 1.5)), fn,
+                     gradient_fn=lambda p: np.where(p > 1.0, np.nan, 2.0 * (p - 0.3)))
+
+
+def lineage(obj, levels):
+    """The candidates of rounds 0..levels-1, each round's the children of
+    one cell of the round before (one child above CORNER_ENUM_MAX_DIM)."""
+    rounds = [[initial_cell(obj.domain)]]
+    for r in range(1, levels):
+        parent = rounds[-1][(5 * r) % len(rounds[-1])]
+        n = parent.dim
+        rounds.append(parent.subdivide() if n <= 12 else [parent.child((3 * r) % 2 ** n)])
+    return rounds
+
+
+def labeling_state(ctx, labeled, budget_hit):
+    """Everything a round leaves behind; a vertex shared by two corners
+    must be one object, so ``first`` numbers the objects by first use."""
+    first: dict = {}
+    return ([[(v.point, v.rel, v.label, repr(v.value), first.setdefault(id(v), len(first)))
+              for v in verts] for verts in labeled],
+            budget_hit, ctx.counter.count, list(ctx._cache),
+            repr(ctx.best_point), repr(ctx.best_value))
+
+
+def run_rounds(label, obj, rounds, budget, sense, labeling):
+    """Label ``rounds`` in order under one context, as run_phase1 does,
+    stopping after a round the budget ran out in; the state after each."""
+    ctx = EvalContext(obj, EvalCounter(budget), RngStream(0), sense)
+    config = SgmConfig(labeling=labeling)
+    states = []
+    for candidates in rounds:
+        ctx.new_epoch()
+        labeled, budget_hit = label(ctx, candidates, config)
+        states.append(labeling_state(ctx, labeled, budget_hit))
+        if budget_hit:
+            break
+    return states
+
+
+@pytest.mark.filterwarnings("error")
+class TestLabelRoundMatchesPerVertexReference:
+    """``label_round`` leaves the labels, counter, cache (in insertion
+    order) and best point exactly as labeling one vertex at a time did."""
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "rows"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 13])
+    def test_rounds_to_level_3(self, n, batched):
+        obj = patchy(n, batched)
+        rounds = lineage(obj, 4)
+        for sense, labeling in itertools.product(Sense, LabelStrategy):
+            want = run_rounds(reference_label_round, obj, rounds, 2500, sense, labeling)
+            got = run_rounds(label_round, obj, rounds, 2500, sense, labeling)
+            assert got == want, (sense, labeling)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "rows"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_budget(self, n, batched):
+        obj = patchy(n, batched)
+        rounds = lineage(obj, 2)
+        total = run_rounds(reference_label_round, obj, rounds, 10**6, Sense.MIN,
+                           LabelStrategy.BEST_NEIGHBOR)[-1][2]
+        for budget in range(1, total + 1):
+            want = run_rounds(reference_label_round, obj, rounds, budget, Sense.MIN,
+                              LabelStrategy.BEST_NEIGHBOR)
+            got = run_rounds(label_round, obj, rounds, budget, Sense.MIN,
+                             LabelStrategy.BEST_NEIGHBOR)
+            assert got == want, budget
+            assert want[-1][1] == (budget < total)
 
 
 def labeled_corners(cell, labels, values):
