@@ -113,14 +113,14 @@ class SaConfig:
     t_min: float = 1e-5
 
     def validate(self):
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
+        if not 0 < self.t0 < np.inf:
+            raise ValueError("t0 must be positive and finite")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must lie in (0, 1)")
         if self.steps_per_temp < 1:
             raise ValueError("steps_per_temp must be >= 1")
-        if self.proposal_scale < 0:
-            raise ValueError("proposal_scale must be >= 0")
+        if not 0 <= self.proposal_scale < np.inf:
+            raise ValueError("proposal_scale must be finite and >= 0")
         if not 0 < self.t_min < self.t0:
             raise ValueError("t_min must lie in (0, t0)")
 

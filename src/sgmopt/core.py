@@ -284,17 +284,17 @@ class SgmConfig:
             raise ValueError(f"labeling must be a LabelStrategy member, got {self.labeling!r}")
         if self.tf_rounds < 0:
             raise ValueError("tf_rounds must be >= 0")
-        if self.alpha_base <= 0:
-            raise ValueError("alpha_base must be positive")
+        if not 0 < self.alpha_base < np.inf:
+            raise ValueError("alpha_base must be positive and finite")
         if self.trm_max < 0 or self.tc_max < 0:
             raise ValueError("trm_max/tc_max must be >= 0")
         if self.eval_budget < 1:
             raise ValueError("eval_budget must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         betas = tuple(self.beta_sweep)
-        if not betas or any(b <= 0 for b in betas):
-            raise ValueError("beta_sweep must contain positive values")
+        if not betas or not all(0 < b < np.inf for b in betas):
+            raise ValueError("beta_sweep must contain positive finite values")
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("beta_sweep must be strictly increasing")
         if self.seed < 0 or self.seed >= 2**64:

@@ -114,6 +114,18 @@ class TestSimulatedAnnealing:
         with pytest.raises(ValueError):
             SaConfig(t_min=20.0).validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("t0", np.nan, "t0 must be positive and finite"),
+        ("t0", np.inf, "t0 must be positive and finite"),
+        ("proposal_scale", np.nan, "proposal_scale must be finite and >= 0"),
+        ("proposal_scale", np.inf, "proposal_scale must be finite and >= 0"),
+    ])
+    def test_rejects_non_finite_settings(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SaConfig(**{field: value}).validate()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulated_annealing(make_objective("TP1"), SaConfig(**{field: value}), RngStream(0))
+
     @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_proposal_lies_in_the_box(self, name, seed):

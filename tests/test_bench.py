@@ -300,6 +300,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    def test_solve_non_finite_setting_exits_1(self, capsys):
+        assert cli.main(["solve", "F1", "--rms", "nan"]) == 1
+        assert capsys.readouterr().err == "error: alpha_base must be positive and finite\n"
+
     def test_unknown_function_exits_1(self, capsys):
         assert cli.main(["solve", "F9"]) == 1
 
@@ -345,7 +349,11 @@ class TestCli:
         ("sa_cooling = 1.5", "cooling must lie in (0, 1)"),
         ("F1.budget = 0", "eval_budget must be >= 1"),
         ("master_seed = -1", "master_seed must fit in 64 unsigned bits"),
-    ], ids=["rs_budget", "sa_cooling", "override_budget", "master_seed"])
+        ("sa_t0 = inf", "t0 must be positive and finite"),
+        ("sa_scale = nan", "proposal_scale must be finite and >= 0"),
+        ("F1.rms = nan", "alpha_base must be positive and finite"),
+    ], ids=["rs_budget", "sa_cooling", "override_budget", "master_seed", "sa_t0_inf",
+            "sa_scale_nan", "override_rms_nan"])
     def test_run_bad_value_exits_1(self, line, message, tmp_path, capsys):
         spec_file = tmp_path / "exp.txt"
         spec_file.write_text(f"functions = F1\nalgorithms = SGM, RS, SA\ntrials = 1\n{line}\n")

@@ -166,6 +166,18 @@ class TestSgmConfig:
         with pytest.raises(ValueError):
             SgmConfig(beta_sweep=(0.1, 0.1)).validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("alpha_base", np.nan, "alpha_base must be positive and finite"),
+        ("alpha_base", np.inf, "alpha_base must be positive and finite"),
+        ("tolerance", np.nan, "tolerance must be positive and finite"),
+        ("tolerance", np.inf, "tolerance must be positive and finite"),
+        ("beta_sweep", (0.1, np.nan), "beta_sweep must contain positive finite values"),
+        ("beta_sweep", (0.1, np.inf), "beta_sweep must contain positive finite values"),
+    ])
+    def test_rejects_non_finite_settings(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SgmConfig(**{field: value}).validate()
+
     def test_alpha_bounded_by_extent(self):
         with pytest.raises(ValueError):
             SgmConfig(alpha_base=5.0).validate(make_objective("F2"))
