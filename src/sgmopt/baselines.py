@@ -9,8 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BudgetExceeded, EvalCounter, Objective, RngStream,
-                   RunResult, batch_form, better, box_mask, counted_eval)
+from .core import Objective, RngStream, RunResult, batch_form, better, box_mask
+# Unused here, but perfbench/trace.py wraps baselines.counted_eval.
+from .core import counted_eval  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,51 +48,40 @@ def rslmga_row() -> tuple:
 RS_BLOCK = 512
 
 
-def _uniform_blocks(obj: Objective, budget: int, rng: RngStream):
-    """``budget`` uniform points over the box, in draw order, as blocks of
-    up to RS_BLOCK rows (the same numbers as one draw per point), or of one
-    row for stochastic objectives, whose fn shares the rng."""
-    lo, hi = obj.domain.lo, obj.domain.hi
-    step = 1 if obj.stochastic else RS_BLOCK
-    for start in range(0, budget, step):
-        yield rng.uniform(lo, hi, size=(min(step, budget - start), obj.dim))
+def _call(obj: Objective, x: np.ndarray, rng: RngStream) -> float:
+    """``obj`` at the one point ``x``; a stochastic objective draws from ``rng``."""
+    return float(obj.fn(x, rng) if obj.stochastic else obj.fn(x))
 
 
 def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     """Uniform sampling over the box; returns the best of ``budget`` draws.
 
-    A deterministic objective with a batch form (the test bed's) is
-    evaluated one block of draws per call; any other, one draw at a time
-    through ``counted_eval``."""
+    The draws come in blocks of up to RS_BLOCK rows (the same numbers as
+    one draw per point), or of one row for a stochastic objective, whose fn
+    shares the rng.  A deterministic objective with a batch form (the test
+    bed's) evaluates a block in one call; any other, one draw at a time."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
-    counter = EvalCounter(budget)
     batch = None if obj.stochastic else batch_form(obj.fn)
+    step = 1 if obj.stochastic else RS_BLOCK
     best_x = None
     best_v = None
     trace = []
-    start = 0
-    for X in _uniform_blocks(obj, budget, rng):
-        if batch is None:
-            vals = [counted_eval(obj, x, counter, rng) for x in X]
-            rows = range(len(X))
-        else:
-            if X.shape[1:] != (obj.dim,) or not box_mask(obj.domain, X).all():
-                raise ValueError(f"{obj.name}: draws outside domain")
-            counter.tick(len(X))
-            V = batch(X)
-            vals = V.tolist()
-            # Only rows below the best so far can beat it; NaN rows pass
-            # this filter, and ``better`` ranks them worst.
-            rows = range(len(X)) if best_v is None else np.flatnonzero(~(V >= best_v)).tolist()
+    for start in range(0, budget, step):
+        X = rng.uniform(obj.domain.lo, obj.domain.hi, size=(min(step, budget - start), obj.dim))
+        if not box_mask(obj.domain, X).all():
+            raise ValueError(f"{obj.name}: draws outside domain")
+        V = np.array([_call(obj, x, rng) for x in X]) if batch is None else batch(X)
+        # Only rows below the best so far can beat it; NaN rows pass this
+        # filter, and ``better`` ranks them worst.
+        rows = range(len(X)) if best_v is None else np.flatnonzero(~(V >= best_v)).tolist()
         for i in rows:
-            v = vals[i]
+            v = float(V[i])
             if best_v is None or better(v, best_v):
                 best_x, best_v = X[i], v
-                trace.append((start + i, float(v), tuple(float(c) for c in best_x)))
-        start += len(X)
-    return RunResult.build(obj, best_x, best_v, counter.count, budget, trace, t0)
+                trace.append((start + i, v, tuple(float(c) for c in best_x)))
+    return RunResult.build(obj, best_x, best_v, budget, budget, trace, t0)
 
 
 @dataclass
@@ -138,35 +128,28 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
     t0_clock = time.perf_counter()
     box = obj.domain
     base_sigma = sa.proposal_scale * box.extent
-    n_temps = 0
-    t = sa.t0
-    while t > sa.t_min:
-        n_temps += 1
-        t *= sa.cooling
-    counter = EvalCounter(1 + n_temps * sa.steps_per_temp)
     x = rng.uniform(box.lo, box.hi)
-    fx = counted_eval(obj, x, counter, rng)
+    if not box_mask(box, x):
+        raise ValueError(f"{obj.name}: start point {x} outside domain")
+    fx = _call(obj, x, rng)
     best_x, best_v = x, fx
-    trace = [(0, float(fx), tuple(float(c) for c in x))]
+    trace = [(0, fx, tuple(float(c) for c in x))]
     temp = sa.t0
     stage = 0
-    try:
-        while temp > sa.t_min:
-            stage += 1
-            if temp < _SA_COLD_FRACTION * sa.t0:
-                x, fx = best_x, best_v
-            sigma = base_sigma * max(np.sqrt(temp / sa.t0), _SA_WIDTH_FLOOR)
-            for _ in range(sa.steps_per_temp):
-                # counted_eval checks the shape and the box once, below.
-                prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo),
-                                  box.hi)
-                fp = counted_eval(obj, prop, counter, rng)
-                if better(fp, fx) or rng.random() < np.exp(-(fp - fx) / temp):
-                    x, fx = prop, fp
-                if better(fp, best_v):
-                    best_x, best_v = prop, fp
-                    trace.append((stage, float(fp), tuple(float(c) for c in prop)))
-            temp *= sa.cooling
-    except BudgetExceeded:
-        pass
-    return RunResult.build(obj, best_x, best_v, counter.count, stage, trace, t0_clock)
+    while temp > sa.t_min:
+        stage += 1
+        if temp < _SA_COLD_FRACTION * sa.t0:
+            x, fx = best_x, best_v
+        sigma = base_sigma * max(np.sqrt(temp / sa.t0), _SA_WIDTH_FLOOR)
+        for _ in range(sa.steps_per_temp):
+            # The clamp keeps every proposal in the box.
+            prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo), box.hi)
+            fp = _call(obj, prop, rng)
+            if better(fp, fx) or rng.random() < np.exp(-(fp - fx) / temp):
+                x, fx = prop, fp
+            if better(fp, best_v):
+                best_x, best_v = prop, fp
+                trace.append((stage, fp, tuple(float(c) for c in prop)))
+        temp *= sa.cooling
+    return RunResult.build(obj, best_x, best_v, 1 + stage * sa.steps_per_temp, stage, trace,
+                           t0_clock)

@@ -431,21 +431,6 @@ class EvalContext:
             self.best_point = p.copy()
         return v
 
-    def iter_values(self, P):
-        """Yield ``value`` of each row of the (m, n) batch ``P``, in row
-        order, evaluating a row only when the caller asks for it.
-
-        Cache hits are looked up here, with keys from one ``row_keys`` call;
-        each miss goes through ``value``, so a budget running out mid-batch
-        raises BudgetExceeded at the same row with the same state, and a
-        caller that stops early leaves the later rows unevaluated.
-        """
-        P = np.asarray(P, dtype=float)
-        cache = self._cache
-        for p, key in zip(P, row_keys(P)):
-            hit = cache.get(key)
-            yield hit if hit is not None else self.value(p, key)
-
     def values(self, P, beat=None) -> list:
         """``value`` of each row of the (m, n) batch ``P``, in row order;
         with ``beat``, only of the rows up to and including the first one
@@ -462,16 +447,18 @@ class EvalContext:
         passed to it counts as evaluated, none is cached, and the best point
         stays the one from before the batch.
         """
+        P = np.asarray(P, dtype=float)
+        keys = row_keys(P)
+        cache = self._cache
         if self._batch is None or (beat is not None and len(P) < WALK_BATCH_MIN):
             walked = []
-            for v in self.iter_values(P):
+            for p, key in zip(P, keys):
+                hit = cache.get(key)
+                v = hit if hit is not None else self.value(p, key)
                 walked.append(v)
                 if beat is not None and better(v, beat):
                     break
             return walked
-        P = np.asarray(P, dtype=float)
-        keys = row_keys(P)
-        cache = self._cache
         misses: dict = {}
         for i, key in enumerate(keys):
             if key not in cache and key not in misses:

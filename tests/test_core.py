@@ -264,7 +264,7 @@ class TestRowKeys:
             ctx.value(p)
         assert set(ctx._cache) == set(keys)
         spent = ctx.counter.count
-        list(ctx.iter_values(P))
+        ctx.values(P)
         # Strided rows with every zero negated hit the same entries.
         for p in np.asfortranarray(np.where(P == 0.0, -0.0, P)):
             ctx.value(p)
@@ -284,7 +284,7 @@ class TestRowKeys:
         assert keys[0] == keys[1] != keys[2]
         obj = Objective("SUM", 2, box2(-1.0, 1.0), lambda p: float(np.sum(p)))
         ctx = EvalContext(obj, EvalCounter(10), RngStream(0), Sense.MIN)
-        assert [np.isnan(v) for v in ctx.iter_values(P)] == [True] * 3
+        assert [np.isnan(v) for v in ctx.values(P)] == [True] * 3
         assert ctx.counter.count == 2
 
 
@@ -392,15 +392,6 @@ class TestEvalContextValues:
         assert raised == ["values", "value"]
         assert a.counter.count == b.counter.count == budget
         assert ctx_state(a) == ctx_state(b)
-
-    def test_iter_values_evaluates_on_demand(self):
-        obj = objective("F1", self.path)
-        P = self.batch(3, 3)
-        ctx = EvalContext(obj, EvalCounter(100), RngStream(5), Sense.MIN)
-        walk = ctx.iter_values(P)
-        first = [next(walk) for _ in range(4)]
-        assert ctx.counter.count == 3  # row 3 repeats row 1
-        assert first == [obj.fn(p) for p in P[:4]]
 
     def test_stochastic_epoch(self):
         obj = objective("F4", self.path)
