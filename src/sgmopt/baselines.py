@@ -14,9 +14,13 @@ from .core import Objective, RngStream, RunResult, batch_form, better, box_mask
 from .core import counted_eval  # noqa: F401
 
 
+# The De Jong functions, in the column order of every reference row.
+DE_JONG_COLUMNS = ("F1", "F2", "F3", "F4", "F5")
+
+
 @dataclass(frozen=True)
 class ReferenceRow:
-    """Average generation counts for F1..F5, as published (static data)."""
+    """Average generation counts for DE_JONG_COLUMNS, as published (static data)."""
 
     algorithm: str
     gens: tuple
@@ -37,12 +41,16 @@ def reference_table() -> list:
     return list(_REFERENCE_ROWS)
 
 
+def _gens(algorithm: str) -> tuple:
+    return next(row.gens for row in _REFERENCE_ROWS if row.algorithm == algorithm)
+
+
 def de_row() -> tuple:
-    return _REFERENCE_ROWS[4].gens
+    return _gens("DE(F: RandomValues)")
 
 
 def rslmga_row() -> tuple:
-    return _REFERENCE_ROWS[5].gens
+    return _gens("RSLMGA")
 
 
 RS_BLOCK = 512

@@ -291,7 +291,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     rows = sorted((results[job][0] for job in jobs), key=TrialRow.sort_key)
     aggregates = compute_aggregates(rows)
     report = Report(rows=rows, aggregates=aggregates,
-                    png_row={f: v for f, v in zip(("F1", "F2", "F3", "F4", "F5"), png_row())})
+                    png_row=dict(zip(baselines.DE_JONG_COLUMNS, png_row())))
     if spec.outputs:
         out = Path(spec.outputs)
         out.mkdir(parents=True, exist_ok=True)
@@ -306,7 +306,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
 
 
 def compute_aggregates(rows: List[TrialRow]) -> List[AggregateRow]:
-    de = dict(zip(("F1", "F2", "F3", "F4", "F5"), baselines.de_row()))
+    de = dict(zip(baselines.DE_JONG_COLUMNS, baselines.de_row()))
     groups: Dict[tuple, List[TrialRow]] = {}
     for row in rows:
         groups.setdefault((row.function, row.algorithm), []).append(row)

@@ -81,8 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(_args) -> int:
-    names = ("F1", "F2", "F3", "F4", "F5")
-    print("algorithm".ljust(22) + "".join(n.rjust(8) for n in names))
+    print("algorithm".ljust(22) + "".join(n.rjust(8) for n in baselines.DE_JONG_COLUMNS))
     for row in baselines.reference_table():
         print(row.algorithm.ljust(22) + "".join(str(g).rjust(8) for g in row.gens))
     print("PNG".ljust(22) + "".join(str(v).rjust(8) for v in bench.png_row()))

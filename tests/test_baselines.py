@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgmopt.baselines import (RS_BLOCK, SaConfig, de_row, random_search,
+from sgmopt.baselines import (DE_JONG_COLUMNS, RS_BLOCK, SaConfig, de_row, random_search,
                               reference_table, rslmga_row, simulated_annealing)
 from sgmopt.core import BoxDomain, Objective, RngStream, batch_form, vectorises
 from sgmopt.testbed import make_objective
@@ -188,6 +188,10 @@ class TestReferenceTable:
     def test_helper_rows(self):
         assert de_row() == (260, 670, 125, 2300, 1200)
         assert rslmga_row() == (20, 29, 32, 107, 19)
+
+    def test_one_count_per_de_jong_column(self):
+        assert DE_JONG_COLUMNS == ("F1", "F2", "F3", "F4", "F5")
+        assert {len(r.gens) for r in reference_table()} == {len(DE_JONG_COLUMNS)}
 
     def test_rows_are_static_copies(self):
         t1 = reference_table()
