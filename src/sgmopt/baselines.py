@@ -71,21 +71,24 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
+    # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
+    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
     batch = None if obj.stochastic else batch_form(obj.fn)
     step = 1 if obj.stochastic else RS_BLOCK
     best_x = None
     best_v = None
     trace = []
     for start in range(0, budget, step):
-        X = rng.uniform(obj.domain.lo, obj.domain.hi, size=(min(step, budget - start), obj.dim))
-        if not box_mask(obj.domain, X).all():
+        X = rng.uniform(lo, hi, size=(min(step, budget - start), obj.dim))
+        if not np.logical_and.reduce((X >= lo) & (X <= hi), axis=None):
             raise ValueError(f"{obj.name}: draws outside domain")
-        V = np.array([_call(obj, x, rng) for x in X]) if batch is None else batch(X)
-        # Only rows below the best so far can beat it; NaN rows pass this
-        # filter, and ``better`` ranks them worst.
-        rows = range(len(X)) if best_v is None else np.flatnonzero(~(V >= best_v)).tolist()
+        vals = [_call(obj, x, rng) for x in X] if batch is None else batch(X).tolist()
+        # Only values below the best so far can beat it; NaN passes this
+        # filter, and ``better`` ranks it worst.
+        rows = range(len(X)) if best_v is None else [
+            i for i, v in enumerate(vals) if not v >= best_v]
         for i in rows:
-            v = float(V[i])
+            v = vals[i]
             if best_v is None or better(v, best_v):
                 best_x, best_v = X[i], v
                 trace.append((start + i, v, tuple(float(c) for c in best_x)))
