@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Objective, RngStream, RunResult, batch_form, better, box_mask
+from .core import (Objective, RngStream, RunResult, batch_form, better, box_mask,
+                   require_integers)
 # Unused here, but perfbench/trace.py wraps baselines.counted_eval.
 from .core import counted_eval  # noqa: F401
 
@@ -114,6 +115,7 @@ class SaConfig:
     t_min: float = 1e-5
 
     def validate(self):
+        require_integers(self, "steps_per_temp")
         if not 0 < self.t0 < np.inf:
             raise ValueError("t0 must be positive and finite")
         if not 0.0 < self.cooling < 1.0:

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import baselines, engine, testbed
-from .core import LabelStrategy, RngStream, RunResult, SgmConfig, deviation
+from .core import (LabelStrategy, RngStream, RunResult, SgmConfig, deviation,
+                   require_integers)
 
 ALGORITHMS = ("SGM", "RS", "SA")
 
@@ -101,6 +102,7 @@ class ExperimentSpec:
     sa: baselines.SaConfig = field(default_factory=baselines.SaConfig)
 
     def validate(self):
+        require_integers(self, "trials", "workers", "rs_budget", "master_seed")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -219,10 +221,7 @@ class Report:
 def is_success(func: str, result_best_x) -> bool:
     if func == "F4":
         return testbed.f4_deterministic(np.asarray(result_best_x)) <= F4_DETPART_TOL
-    obj = testbed.make_objective(func)
-    if obj.known_optimum is None:
-        return False
-    sd, _ = deviation(result_best_x, obj.known_optimum)
+    sd, _ = deviation(result_best_x, testbed.make_objective(func).known_optimum)
     return sd <= SUCCESS_TOL.get(func, SUCCESS_TOL["default"])
 
 

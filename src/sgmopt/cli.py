@@ -99,10 +99,6 @@ def _cmd_validate(_args) -> int:
             failures.append(name)
             print(f"FAIL {name}: {exc}")
 
-    def check_foxholes():
-        a = testbed.foxholes_matrix()
-        assert a.shape == (2, 25)
-
     def check_labels():
         obj = testbed.make_objective("TP1", bounds=1.0)
         cfg = SgmConfig()
@@ -129,7 +125,6 @@ def _cmd_validate(_args) -> int:
     def check_png():
         assert bench.png_row() == (13, 24, 4, 22, 64)
 
-    check("foxholes matrix", check_foxholes)
     check("level-0 labeling oracle", check_labels)
     check("analytic gradients vs finite differences", check_gradients)
     check("generation-ratio row", check_png)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -255,6 +256,15 @@ def rank(value: float) -> tuple:
     return (1, 0.0) if value != value else (0, value)
 
 
+def require_integers(config, *names: str) -> None:
+    """Raise ValueError naming the first field in ``names`` whose value on
+    ``config`` is not an integer; numpy integers count as integers."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SgmConfig:
     """All SGM tunables.
@@ -282,6 +292,7 @@ class SgmConfig:
             raise ValueError(f"sense must be a Sense member, got {self.sense!r}")
         if not isinstance(self.labeling, LabelStrategy):
             raise ValueError(f"labeling must be a LabelStrategy member, got {self.labeling!r}")
+        require_integers(self, "tf_rounds", "trm_max", "tc_max", "eval_budget", "seed")
         if self.tf_rounds < 0:
             raise ValueError("tf_rounds must be >= 0")
         if not 0 < self.alpha_base < np.inf:

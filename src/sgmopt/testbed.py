@@ -13,15 +13,13 @@ reduction ``.sum()`` runs, without its Python-level wrapper.
 tests/test_testbed.py checks that every batch form matches its scalar form
 bit for bit.
 
-The Shekel foxholes constants ship as a plain-text data asset
-(``data/foxholes.txt``, 25 rows of "a1 a2") and are verified against their
-structural invariants at load time.
+The Shekel foxholes constants are a module constant built from their
+structure: the 25 well centres are the 5x5 grid over (-32, -16, 0, 16, 32).
 """
 
 from __future__ import annotations
 
 import math
-from importlib import resources
 
 import numpy as np
 
@@ -145,28 +143,13 @@ def eval_f4(p, rng: RngStream) -> float:
     return float(np.add.reduce(_F4_COEF * x ** 4 + rng.normal(size=30)))
 
 
-def _load_foxholes() -> np.ndarray:
-    text = resources.files("sgmopt").joinpath("data/foxholes.txt").read_text()
-    rows = [line.split() for line in text.strip().splitlines()]
-    a = np.array([[float(r[0]), float(r[1])] for r in rows]).T
-    if a.shape != (2, 25):
-        raise ValueError(f"foxholes data must be 2x25, got {a.shape}")
-    base = np.array([-32.0, -16.0, 0.0, 16.0, 32.0])
-    if not np.array_equal(a[0], np.tile(base, 5)):
-        raise ValueError("foxholes row 1 must cycle (-32,-16,0,16,32)")
-    if not np.array_equal(a[1], np.repeat(base, 5)):
-        raise ValueError("foxholes row 2 must repeat each of (-32,-16,0,16,32) five times")
-    if np.any(np.abs(a) > 65.536):
-        raise ValueError("foxholes columns must lie inside [-65.536, 65.536]^2")
-    return a
-
-
-_FOXHOLES = _load_foxholes()
+_W = np.array([-32.0, -16.0, 0.0, 16.0, 32.0])
+_FOXHOLES = np.array([np.tile(_W, 5), np.repeat(_W, 5)])
 _F5_J = np.arange(1, 26, dtype=float)
 
 
 def foxholes_matrix() -> np.ndarray:
-    """The 2x25 foxholes constants (copy; callers may not mutate the asset)."""
+    """The 2x25 foxholes constants (a copy; callers may not mutate F5's table)."""
     return _FOXHOLES.copy()
 
 

@@ -126,6 +126,15 @@ class TestSimulatedAnnealing:
         with pytest.raises(ValueError, match=f"^{message}$"):
             simulated_annealing(make_objective("TP1"), SaConfig(**{field: value}), RngStream(0))
 
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 30.0, "30"])
+    def test_rejects_non_integer_steps(self, value):
+        message = "^steps_per_temp must be an integer"
+        with pytest.raises(ValueError, match=message):
+            SaConfig(steps_per_temp=value).validate()
+        with pytest.raises(ValueError, match=message):
+            simulated_annealing(make_objective("TP1"), SaConfig(steps_per_temp=value), RngStream(0))
+        SaConfig(steps_per_temp=np.int64(30)).validate()
+
     @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_proposal_lies_in_the_box(self, name, seed):

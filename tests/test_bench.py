@@ -4,6 +4,7 @@ import statistics
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgmopt import bench, cli, engine
@@ -11,7 +12,7 @@ from sgmopt.bench import (CSV_AGGREGATE_HEADER, CSV_TRIAL_HEADER, OVERRIDES,
                           ExperimentSpec, compute_aggregates, emit_csv,
                           emit_json, is_success, parse_spec_file,
                           parse_trial_csv, png_ratio, png_row, run_experiment)
-from sgmopt.core import RunResult, Sense
+from sgmopt.core import RngStream, RunResult, Sense
 from sgmopt.engine import default_config
 from sgmopt.testbed import make_objective
 
@@ -97,6 +98,16 @@ F5.budget = 30000  # budget, labeling
         with pytest.raises(ValueError):
             ExperimentSpec(functions=("F1",), algorithms=("GA",)).validate()
 
+    @pytest.mark.parametrize("field", ["trials", "workers", "rs_budget", "master_seed"])
+    @pytest.mark.parametrize("value", [np.nan, 1.5, 2.0, "2"])
+    def test_rejects_non_integer_settings(self, field, value):
+        spec = ExperimentSpec(functions=("F1",), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            spec.validate()
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_experiment(spec)
+        ExperimentSpec(functions=("F1",), **{field: np.int64(2)}).validate()
+
     def test_unknown_override_key_rejected(self):
         spec = ExperimentSpec(functions=("F1",), overrides={"F1": {"popsize": 3}})
         with pytest.raises(ValueError, match="popsize"):
@@ -166,7 +177,7 @@ class TestRunExperiment:
             assert agg.mean_generations == sum(r.generations for r in grp) / len(grp)
 
     def test_concurrent_equals_sequential_csv(self, tmp_path):
-        base = dict(functions=("TP1", "F2"), algorithms=("SGM", "RS"),
+        base = dict(functions=("TP1", "F2"), algorithms=("SGM", "RS", "SA"),
                     trials=3, master_seed=8, rs_budget=100, record_timing=False)
         seq = run_experiment(ExperimentSpec(workers=1, **base))
         par = run_experiment(ExperimentSpec(workers=4, **base))
@@ -257,8 +268,20 @@ class TestEmitters:
         rep = run_experiment(spec)
         svg = Path(rep.svg_paths[0]).read_text()
         assert svg.startswith("<svg")
-        assert "<polyline" in svg or "<circle" in svg
+        assert "<circle" in svg  # TP1's optimum is phase 1's first vertex
         assert "<text" in svg  # vertex labels present
+
+    def test_svg_path_has_one_point_per_accepted_step(self, tmp_path):
+        spec = ExperimentSpec(functions=("F2",), algorithms=("SGM",), trials=1,
+                              master_seed=1, outputs=str(tmp_path), emit_svg=True,
+                              record_timing=False)
+        svg = Path(run_experiment(spec).svg_paths[0]).read_text()
+        accepted = []
+        engine.solve(make_objective("F2"), default_config("F2", seed=1), rng=RngStream(1, 0),
+                     phase2_sink=lambda it, inc, cand, ok: accepted.append(ok))
+        points = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(points) == 1
+        assert len(points[0].split()) == sum(accepted) > 0
 
     def test_no_svg_collector_without_outputs(self, monkeypatch):
         def no_collector():

@@ -178,6 +178,15 @@ class TestSgmConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SgmConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["tf_rounds", "trm_max", "tc_max", "eval_budget", "seed"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 100.0, "3"])
+    def test_rejects_non_integer_settings(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SgmConfig(**{field: value}).validate()
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            solve(make_objective("TP1"), SgmConfig(**{field: value}))
+        SgmConfig(**{field: np.int64(2)}).validate()
+
     def test_alpha_bounded_by_extent(self):
         with pytest.raises(ValueError):
             SgmConfig(alpha_base=5.0).validate(make_objective("F2"))

@@ -7,6 +7,7 @@ from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          LabelStrategy, Objective, RefinementLimit, RngStream,
                          Sense, SgmConfig, better, box_mask, contains, rank,
                          vectorises)
+from sgmopt.engine import solve
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
                                 best_neighbor, grid_point, initial_cell,
                                 label_by_direction, label_by_gradient, label_round,
@@ -595,6 +596,19 @@ class TestRunPhase1:
         run_phase1(obj, SgmConfig(tf_rounds=2),
                    make_ctx(obj), trace_sink=lambda r, cells, labeled: rounds.append(r))
         assert rounds == [0, 1, 2]
+
+    def test_stops_at_the_level_cap(self):
+        # More rounds than MAX_LEVEL allows: phase 1 ends at the deepest
+        # level without error, and solve carries on into phase 2.
+        obj = Objective(name="Q", dim=1, domain=box(-1, 1, n=1),
+                        fn=lambda p: float((p[0] - 0.3) ** 2))
+        cfg = SgmConfig(tf_rounds=45)
+        out = run_phase1(obj, cfg, make_ctx(obj))
+        assert out.rounds_completed == 40
+        assert out.cell.level == 40
+        assert len(out.trace) == 41
+        assert out.evaluations == 160
+        assert solve(obj, cfg).best_value < 1e-12
 
     def test_high_dimensional_zoom(self):
         obj = make_objective("F4")
