@@ -112,12 +112,21 @@ class ExperimentSpec:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         self.sa.validate()
+        for key in ("functions", "algorithms"):
+            names = [str(n).strip().upper() for n in getattr(self, key)]
+            if not names:
+                raise ValueError(f"{key} must name at least one entry")
+            repeated = [n for n in names if names.count(n) > 1]
+            if repeated:
+                raise ValueError(f"{key} names {repeated[0]} more than once")
         for name in self.functions:
             testbed.make_objective(name)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
         for func, overrides in self.overrides.items():
+            if func not in self.functions:
+                raise ValueError(f"overrides for {func}: {func} is not in functions")
             obj = testbed.make_objective(func)
             apply_overrides(engine.default_config(func), overrides).validate(obj)
 
@@ -317,7 +326,7 @@ def compute_aggregates(rows: List[TrialRow]) -> List[AggregateRow]:
         successes = sum(1 for r in grp if is_success(func, r.best_x))
         png = None
         if func in de and mean_gens >= 1:
-            png = png_ratio(de[func], max(1, round(mean_gens)))
+            png = png_ratio(de[func], round(mean_gens))
         out.append(AggregateRow(
             function=func, algorithm=alg, trials=len(grp),
             median_best_f=median_f, mean_generations=mean_gens,

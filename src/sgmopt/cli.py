@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec_file")
 
     p_solve = sub.add_parser("solve", help="single SGM run, result as JSON")
-    p_solve.add_argument("function", help="objective name (TP1, BEALE, F1..F5)")
+    p_solve.add_argument("function", help=f"objective name ({', '.join(testbed.VALID_NAMES)})")
     for key, (field, _) in bench.OVERRIDES.items():
         p_solve.add_argument(f"--{key}", help=f"sets SgmConfig.{field}")
     p_solve.add_argument("--seed", type=int, default=0)
@@ -113,8 +113,9 @@ def _cmd_validate(_args) -> int:
 
     def check_gradients():
         rng = np.random.default_rng(7)
-        for name in ("TP1", "BEALE", "F1", "F2"):
-            obj = testbed.make_objective(name)
+        for obj in map(testbed.make_objective, testbed.VALID_NAMES):
+            if obj.gradient_fn is None:
+                continue
             for _ in range(20):
                 x = rng.uniform(obj.domain.lo * 0.9, obj.domain.hi * 0.9)
                 g = obj.gradient_fn(x)

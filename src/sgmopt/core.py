@@ -54,13 +54,11 @@ class LabelStrategy(enum.Enum):
     GRADIENT = "gradient"
 
 
-def as_point(coords, dim: Optional[int] = None) -> np.ndarray:
+def as_point(coords) -> np.ndarray:
     """Coerce to a float64 vector and validate finiteness."""
     p = np.asarray(coords, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"point has dimension {p.size}, expected {dim}")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"point has non-finite components: {p}")
     return p

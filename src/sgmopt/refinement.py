@@ -52,17 +52,15 @@ def diagonal_directions(n: int) -> List[tuple]:
     return [tuple(p) for p in itertools.product((1, -1), repeat=n)]
 
 
-def sweep_directions(n: int, s=None, center=None) -> List[tuple]:
+def sweep_directions(n: int, s, center) -> List[tuple]:
     """Directions a sweep actually iterates: the full diagonal set for small
     n, else the two main diagonals, the diagonal pointing from s toward the
     domain center, and the single-axis flips of both main diagonals."""
     if n <= DIR_FULL_MAX_DIM:
         return diagonal_directions(n)
-    dirs = [tuple([1] * n), tuple([-1] * n)]
-    if s is not None and center is not None:
-        inward = np.sign(np.asarray(center, dtype=float) - np.asarray(s, dtype=float))
-        inward = np.where(inward == 0, 1.0, inward)
-        dirs.append(tuple(int(v) for v in inward))
+    inward = np.sign(np.asarray(center, dtype=float) - np.asarray(s, dtype=float))
+    inward = np.where(inward == 0, 1.0, inward)
+    dirs = [tuple([1] * n), tuple([-1] * n), tuple(int(v) for v in inward)]
     for j in range(n):
         flip = [1] * n
         flip[j] = -1

@@ -25,8 +25,6 @@ import numpy as np
 
 from .core import BoxDomain, Objective, RngStream, vectorises
 
-VALID_NAMES = ("TP1", "BEALE", "F1", "F2", "F3", "F4", "F5")
-
 # TP1 has no published bounds; a symmetric box large enough for its ~50
 # local minima.  Overridable through make_objective(bounds=...).
 TP1_DEFAULT_BOUND = 16.0
@@ -179,8 +177,21 @@ def finite_difference_gradient(fn, p, rel_step: float = 1e-6) -> np.ndarray:
     return g
 
 
-def _box(bound: float, dim: int) -> BoxDomain:
-    return BoxDomain(np.full(dim, -bound), np.full(dim, bound))
+# name -> (dim, box half-width, fn, gradient_fn, known optimum, noise-free
+# part).  An objective is stochastic exactly when it has a noise-free part.
+_TABLE = {
+    "TP1": (2, TP1_DEFAULT_BOUND, eval_tp1, grad_tp1, ((0.0, 0.0), -36.0), None),
+    "BEALE": (2, 4.5, eval_beale, grad_beale, ((3.0, 0.5), 0.0), None),
+    "F1": (3, 5.12, eval_f1, grad_f1, ((0.0, 0.0, 0.0), 0.0), None),
+    "F2": (2, 2.048, eval_f2, grad_f2, ((1.0, 1.0), 0.0), None),
+    # The all-lo corner floors to -6 per axis; domain [-5.12, 5.12]^5 is
+    # the one on which the known optimum value 0 actually holds.
+    "F3": (5, 5.12, eval_f3, None, (tuple([-5.12] * 5), 0.0), None),
+    # Known-optimum value is the noise-free part at the origin.
+    "F4": (30, 1.28, eval_f4, None, (tuple([0.0] * 30), 0.0), f4_deterministic),
+    "F5": (2, 65.536, eval_f5, None, ((-32.0, -32.0), 0.9980038388186492), None),
+}
+VALID_NAMES = tuple(_TABLE)
 
 
 def make_objective(name: str, bounds: float | None = None) -> Objective:
@@ -190,40 +201,14 @@ def make_objective(name: str, bounds: float | None = None) -> Objective:
     functions have fixed published domains).
     """
     key = name.strip().upper()
-    if key == "TP1":
-        b = TP1_DEFAULT_BOUND if bounds is None else float(bounds)
-        return Objective(
-            name="TP1", dim=2, domain=_box(b, 2), fn=eval_tp1,
-            gradient_fn=grad_tp1, known_optimum=((0.0, 0.0), -36.0))
-    if bounds is not None:
+    if bounds is not None and key != "TP1":
         raise ValueError(f"{key} has a fixed domain; bounds override applies to TP1 only")
-    if key == "BEALE":
-        return Objective(
-            name="BEALE", dim=2, domain=_box(4.5, 2), fn=eval_beale,
-            gradient_fn=grad_beale, known_optimum=((3.0, 0.5), 0.0))
-    if key == "F1":
-        return Objective(
-            name="F1", dim=3, domain=_box(5.12, 3), fn=eval_f1,
-            gradient_fn=grad_f1, known_optimum=((0.0, 0.0, 0.0), 0.0))
-    if key == "F2":
-        return Objective(
-            name="F2", dim=2, domain=_box(2.048, 2), fn=eval_f2,
-            gradient_fn=grad_f2, known_optimum=((1.0, 1.0), 0.0))
-    if key == "F3":
-        # The all-lo corner floors to -6 per axis; domain [-5.12, 5.12]^5 is
-        # the one on which the known optimum value 0 actually holds.
-        return Objective(
-            name="F3", dim=5, domain=_box(5.12, 5), fn=eval_f3,
-            known_optimum=(tuple([-5.12] * 5), 0.0))
-    if key == "F4":
-        # Known-optimum value is the noise-free part at the origin.
-        return Objective(
-            name="F4", dim=30, domain=_box(1.28, 30), fn=eval_f4,
-            known_optimum=(tuple([0.0] * 30), 0.0), stochastic=True,
-            noise_free_fn=f4_deterministic)
-    if key == "F5":
-        return Objective(
-            name="F5", dim=2, domain=_box(65.536, 2), fn=eval_f5,
-            known_optimum=((-32.0, -32.0), 0.9980038388186492))
-    raise ValueError(f"unknown objective {name!r}; valid names: {', '.join(VALID_NAMES)}")
-
+    if key not in _TABLE:
+        raise ValueError(f"unknown objective {name!r}; valid names: {', '.join(VALID_NAMES)}")
+    dim, half, fn, gradient_fn, known_optimum, noise_free_fn = _TABLE[key]
+    if bounds is not None:
+        half = float(bounds)
+    return Objective(
+        name=key, dim=dim, domain=BoxDomain(np.full(dim, -half), np.full(dim, half)),
+        fn=fn, gradient_fn=gradient_fn, known_optimum=known_optimum,
+        stochastic=noise_free_fn is not None, noise_free_fn=noise_free_fn)

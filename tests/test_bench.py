@@ -94,6 +94,10 @@ F5.budget = 30000  # budget, labeling
         with pytest.raises(ValueError):
             ExperimentSpec(functions=("F9",)).validate()
 
+    def test_spec_repeats_are_found_after_normalising(self):
+        with pytest.raises(ValueError, match="functions names F1 more than once"):
+            ExperimentSpec(functions=("F1", " f1")).validate()
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(functions=("F1",), algorithms=("GA",)).validate()
@@ -380,6 +384,21 @@ class TestCli:
     def test_run_bad_value_exits_1(self, line, message, tmp_path, capsys):
         spec_file = tmp_path / "exp.txt"
         spec_file.write_text(f"functions = F1\nalgorithms = SGM, RS, SA\ntrials = 1\n{line}\n")
+        assert cli.main(["run", str(spec_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line,message", [
+        ("functions =", "functions must name at least one entry"),
+        ("algorithms =", "algorithms must name at least one entry"),
+        ("functions = F1, F2, F1", "functions names F1 more than once"),
+        ("algorithms = RS, SGM, rs", "algorithms names RS more than once"),
+        ("F2.tf = 3", "overrides for F2: F2 is not in functions"),
+    ], ids=["no_functions", "no_algorithms", "repeated_function", "repeated_algorithm",
+            "override_outside_functions"])
+    def test_run_spec_asking_for_nothing_or_twice_exits_1(self, line, message, tmp_path,
+                                                          capsys):
+        spec_file = tmp_path / "exp.txt"
+        spec_file.write_text(f"functions = F1\nalgorithms = RS\ntrials = 2\n{line}\n")
         assert cli.main(["run", str(spec_file)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -15,21 +15,38 @@ from sgmopt.testbed import (eval_beale, eval_f1, eval_f2, eval_f3, eval_f5,
 F5_AT_MINUS32 = 0.9980038388186492
 
 
+# name -> (dim, box half-width, fn, gradient_fn, noise_free_fn, known optimum)
+EXPECTED = {
+    "TP1": (2, 16.0, eval_tp1, testbed.grad_tp1, None, ((0.0, 0.0), -36.0)),
+    "BEALE": (2, 4.5, eval_beale, testbed.grad_beale, None, ((3.0, 0.5), 0.0)),
+    "F1": (3, 5.12, eval_f1, testbed.grad_f1, None, ((0.0, 0.0, 0.0), 0.0)),
+    "F2": (2, 2.048, eval_f2, testbed.grad_f2, None, ((1.0, 1.0), 0.0)),
+    "F3": (5, 5.12, eval_f3, None, None, (tuple([-5.12] * 5), 0.0)),
+    "F4": (30, 1.28, testbed.eval_f4, None, f4_deterministic, (tuple([0.0] * 30), 0.0)),
+    "F5": (2, 65.536, eval_f5, None, None, ((-32.0, -32.0), F5_AT_MINUS32)),
+}
+
+
 class TestMakeObjective:
-    @pytest.mark.parametrize("name,dim,bound", [
-        ("TP1", 2, 16.0),
-        ("BEALE", 2, 4.5),
-        ("F1", 3, 5.12),
-        ("F2", 2, 2.048),
-        ("F3", 5, 5.12),
-        ("F4", 30, 1.28),
-        ("F5", 2, 65.536),
-    ])
+    def test_expected_names(self):
+        assert VALID_NAMES == tuple(EXPECTED)
+
+    @pytest.mark.parametrize("name,dim,bound", [(n, *EXPECTED[n][:2]) for n in VALID_NAMES])
     def test_table(self, name, dim, bound):
+        _, _, fn, grad, noise_free, optimum = EXPECTED[name]
         obj = make_objective(name)
+        assert obj.name == name
         assert obj.dim == dim
-        assert np.allclose(obj.domain.lo, -bound)
-        assert np.allclose(obj.domain.hi, bound)
+        assert np.array_equal(obj.domain.lo, np.full(dim, -bound))
+        assert np.array_equal(obj.domain.hi, np.full(dim, bound))
+        assert obj.fn is fn
+        assert obj.gradient_fn is grad
+        assert obj.noise_free_fn is noise_free
+        assert obj.known_optimum == optimum
+        assert obj.stochastic is (noise_free is not None)
+
+    def test_name_is_normalised(self):
+        assert make_objective(" f2 ").name == "F2"
 
     def test_unknown_name_lists_valid(self):
         with pytest.raises(ValueError, match="TP1"):
@@ -43,8 +60,11 @@ class TestMakeObjective:
     def test_tp1_bounds_override(self):
         obj = make_objective("TP1", bounds=1.0)
         assert np.allclose(obj.domain.hi, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^F1 has a fixed domain"):
             make_objective("F1", bounds=2.0)
+        # The domain rule is checked before the name.
+        with pytest.raises(ValueError, match="^XYZ has a fixed domain"):
+            make_objective("xyz", bounds=2)
 
 
 class TestValues:
