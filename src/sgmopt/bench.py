@@ -113,22 +113,26 @@ class ExperimentSpec:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         self.sa.validate()
         for key in ("functions", "algorithms"):
-            names = [str(n).strip().upper() for n in getattr(self, key)]
+            names = tuple(str(n).strip().upper() for n in getattr(self, key))
             if not names:
                 raise ValueError(f"{key} must name at least one entry")
             repeated = [n for n in names if names.count(n) > 1]
             if repeated:
                 raise ValueError(f"{key} names {repeated[0]} more than once")
+            setattr(self, key, names)
         for name in self.functions:
             testbed.make_objective(name)
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; valid: {', '.join(ALGORITHMS)}")
-        for func, overrides in self.overrides.items():
+        overrides, self.overrides = self.overrides, {}
+        for func, table in overrides.items():
+            self.overrides.setdefault(str(func).strip().upper(), {}).update(table)
+        for func, table in self.overrides.items():
             if func not in self.functions:
                 raise ValueError(f"overrides for {func}: {func} is not in functions")
             obj = testbed.make_objective(func)
-            apply_overrides(engine.default_config(func), overrides).validate(obj)
+            apply_overrides(engine.default_config(func), table).validate(obj)
 
 
 _FLAGS = {"true": True, "yes": True, "on": True, "1": True,
@@ -142,7 +146,7 @@ def _flag(raw: str) -> bool:
 
 
 def _names(raw: str) -> tuple:
-    return tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
+    return tuple(tok for tok in raw.split(",") if tok.strip())
 
 
 # Top-level spec keys -> the converter of their value text.  The sa_* keys
@@ -177,7 +181,7 @@ def parse_spec_file(path) -> ExperimentSpec:
         key, raw = key.strip(), raw.strip()
         if "." in key:
             func, _, okey = key.partition(".")
-            overrides.setdefault(func.strip().upper(), {})[okey.strip().lower()] = raw
+            overrides.setdefault(func, {})[okey.strip().lower()] = raw
         elif key in _SPEC_KEYS:
             kwargs[key] = _convert(_SPEC_KEYS[key], raw, f"{path}:{lineno}: {key}")
         else:
@@ -235,21 +239,14 @@ def is_success(func: str, result_best_x) -> bool:
 
 
 class _SvgCollector:
-    """Gathers phase-1 grid snapshots and the phase-2 incumbent path."""
+    """Gathers phase-1 (cell, labeled vertices) pairs and the phase-2 incumbent path."""
 
     def __init__(self):
-        self.rounds = []
+        self.cells = []
         self.path = []
 
     def phase1(self, round_index, cells, labeled):
-        snap = []
-        for cell, verts in zip(cells, labeled):
-            snap.append({
-                "base": tuple(float(c) for c in cell.base),
-                "step": tuple(float(c) for c in cell.step),
-                "labels": [(v.point, v.label) for v in verts],
-            })
-        self.rounds.append(snap)
+        self.cells += zip(cells, labeled)
 
     def phase2(self, iteration, incumbent, candidate, accepted):
         if accepted:
@@ -407,13 +404,9 @@ def emit_json(report: Report, path) -> Path:
     return Path(path)
 
 
-def emit_svg_trace(collector: _SvgCollector, obj, result: RunResult, path) -> Optional[Path]:
-    """One SVG per trial: the domain box, cell outlines per round, vertex
-    labels, and the incumbent trajectory.  2-D objectives only; other
-    dimensions are skipped with a notice."""
-    if obj.dim != 2:
-        print(f"svg trace skipped for {obj.name}: dimension {obj.dim} != 2")
-        return None
+def emit_svg_trace(collector: _SvgCollector, obj, result: RunResult, path) -> Path:
+    """One SVG per trial of a 2-D objective: the domain box, cell outlines
+    per round, vertex labels, and the incumbent trajectory."""
     lo, hi = obj.domain.lo, obj.domain.hi
     span = hi - lo
     size = 640.0
@@ -431,18 +424,17 @@ def emit_svg_trace(collector: _SvgCollector, obj, result: RunResult, path) -> Op
         f'<rect x="{sx(lo[0]):.2f}" y="{sy(hi[1]):.2f}" width="{size:.2f}" height="{size:.2f}" '
         'fill="white" stroke="black" stroke-width="2"/>',
     ]
-    for ri, snap in enumerate(collector.rounds):
-        for cell in snap:
-            bx, by = cell["base"]
-            wx, wy = cell["step"]
+    for cell, verts in collector.cells:
+        bx, by = cell.base
+        wx, wy = cell.step
+        parts.append(
+            f'<rect x="{sx(bx):.2f}" y="{sy(by + wy):.2f}" '
+            f'width="{wx / span[0] * size:.2f}" height="{wy / span[1] * size:.2f}" '
+            f'fill="none" stroke="#888" stroke-width="0.7"/>')
+        for v in verts:
             parts.append(
-                f'<rect x="{sx(bx):.2f}" y="{sy(by + wy):.2f}" '
-                f'width="{wx / span[0] * size:.2f}" height="{wy / span[1] * size:.2f}" '
-                f'fill="none" stroke="#888" stroke-width="0.7"/>')
-            for (pt, label) in cell["labels"]:
-                parts.append(
-                    f'<text x="{sx(pt[0]) + 2:.2f}" y="{sy(pt[1]) - 2:.2f}" '
-                    f'font-size="10" fill="#c22">{label}</text>')
+                f'<text x="{sx(v.point[0]) + 2:.2f}" y="{sy(v.point[1]) - 2:.2f}" '
+                f'font-size="10" fill="#c22">{v.label}</text>')
     if collector.path:
         pts = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in collector.path)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="#03c" stroke-width="1.5"/>')

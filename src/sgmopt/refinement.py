@@ -13,6 +13,7 @@ bounds every run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -20,9 +21,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import BudgetExceeded, EvalContext, SgmConfig, better, box_mask, rank
-from .subdivision import GridCell, Phase1Outcome, index_bits
+from .subdivision import MOORE_FULL_MAX_DIM, GridCell, Phase1Outcome, index_bits
 
-DIR_FULL_MAX_DIM = 6
 SCALE_MIN = 2.0 ** -24
 STALL_LIMIT = 3
 
@@ -45,40 +45,30 @@ def select_best_vertex(outcome: Phase1Outcome):
     return np.asarray(best.point, dtype=float), best.value
 
 
-def diagonal_directions(n: int) -> List[tuple]:
-    """All 2^n sign vectors, lexicographic with +1 before -1 (all-ones first)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return [tuple(p) for p in itertools.product((1, -1), repeat=n)]
+@functools.lru_cache(maxsize=None)
+def _axis_flips(n: int) -> tuple:
+    """For each axis j, the all-ones diagonal with axis j negated, then its
+    negation: the all -1 diagonal with axis j positive."""
+    flips = [tuple(-1 if i == j else 1 for i in range(n)) for j in range(n)]
+    return tuple(d for f in flips for d in (f, tuple(-c for c in f)))
 
 
 def sweep_directions(n: int, s, center) -> List[tuple]:
-    """Directions a sweep actually iterates: the full diagonal set for small
-    n, else the two main diagonals, the diagonal pointing from s toward the
-    domain center, and the single-axis flips of both main diagonals."""
-    if n <= DIR_FULL_MAX_DIM:
-        return diagonal_directions(n)
-    inward = np.sign(np.asarray(center, dtype=float) - np.asarray(s, dtype=float))
-    inward = np.where(inward == 0, 1.0, inward)
-    dirs = [tuple([1] * n), tuple([-1] * n), tuple(int(v) for v in inward)]
-    for j in range(n):
-        flip = [1] * n
-        flip[j] = -1
-        dirs.append(tuple(flip))
-        flip2 = [-1] * n
-        flip2[j] = 1
-        dirs.append(tuple(flip2))
-    return list(dict.fromkeys(dirs))
+    """Directions a sweep iterates: up to MOORE_FULL_MAX_DIM, all 2^n sign
+    vectors, lexicographic with +1 before -1 (all-ones first); above it,
+    the two main diagonals, the diagonal from s toward the domain center
+    (+1 on axes where s is centered) and ``_axis_flips(n)``, each once."""
+    if n <= MOORE_FULL_MAX_DIM:
+        return list(itertools.product((1, -1), repeat=n))
+    inward = tuple(np.where(np.asarray(center, dtype=float) >= s, 1, -1).tolist())
+    return list(dict.fromkeys(((1,) * n, (-1,) * n, inward) + _axis_flips(n)))
 
 
 def ray_mutate(s, direction, alpha) -> np.ndarray:
     """Endpoint of the ray from s along a sign vector: every component moves
-    by alpha, so the step has max-norm alpha and Euclidean norm alpha*sqrt(n).
+    by alpha > 0, so the step has max-norm alpha and Euclidean norm alpha*sqrt(n).
 
     Broadcasts: (m, n) directions with (m, 1) lengths give m endpoints."""
-    alpha = np.asarray(alpha, dtype=float)
-    if (alpha <= 0).any():
-        raise ValueError("alpha must be positive")
     return np.asarray(s, dtype=float) + alpha * np.asarray(direction, dtype=float)
 
 

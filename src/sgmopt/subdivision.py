@@ -353,9 +353,7 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
     0..tf_rounds all get labeled.  On budget exhaustion the outcome so far
     is returned with complete=False.
     """
-    cell0 = initial_cell(obj.domain)
-    candidates = [cell0]
-    selected, selected_verts, complete = cell0, [], False
+    candidates = [initial_cell(obj.domain)]
     rounds_done = 0
     start_count = ctx.counter.count
     trace = []
@@ -377,8 +375,7 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
             if selected.dim <= CORNER_ENUM_MAX_DIM:
                 candidates = selected.subdivide()
             else:
-                target = ctx.best_point if ctx.best_point is not None else selected.center
-                candidates = [selected.child_containing(target)]
+                candidates = [selected.child_containing(ctx.best_point)]
         except RefinementLimit:
             break
         rounds_done = r + 1

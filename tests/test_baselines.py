@@ -119,6 +119,7 @@ class TestSimulatedAnnealing:
         ("t0", np.inf, "t0 must be positive and finite"),
         ("proposal_scale", np.nan, "proposal_scale must be finite and >= 0"),
         ("proposal_scale", np.inf, "proposal_scale must be finite and >= 0"),
+        ("steps_per_temp", 0, "steps_per_temp must be >= 1"),
     ])
     def test_rejects_non_finite_settings(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

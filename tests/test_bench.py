@@ -90,6 +90,16 @@ F5.budget = 30000  # budget, labeling
         with pytest.raises(ValueError, match="bogus"):
             parse_spec_file(p)
 
+    @pytest.mark.parametrize("text,message", [
+        ("functions = F1\nF1\n", r"bad\.txt:2: expected 'key = value', got 'F1'"),
+        ("trials = 2\n", r"bad\.txt: missing required key 'functions'"),
+    ], ids=["no_equals", "no_functions"])
+    def test_malformed_file_rejected(self, text, message, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            parse_spec_file(p)
+
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(functions=("F9",)).validate()
@@ -194,6 +204,32 @@ class TestRunExperiment:
         a2 = p2.with_name("par_aggregate.csv")
         assert a1.read_bytes() == a2.read_bytes()
 
+    def test_lower_case_function_is_judged_as_its_canonical_name(self):
+        def aggregate(name):
+            spec = ExperimentSpec(functions=(name,), trials=1, record_timing=False)
+            rep = run_experiment(spec)
+            assert spec.functions == ("F5",) and rep.rows[0].function == "F5"
+            return rep.rows[0].evaluations, rep.aggregates[0]
+        (evals, lower), (_, upper) = aggregate("f5"), aggregate("F5")
+        assert evals == 667
+        assert (lower.success_rate, lower.png) == (upper.success_rate, upper.png) == (1.0, 47)
+
+    def test_padded_function_gets_its_de_jong_png(self):
+        spec = ExperimentSpec(functions=(" F4 ",), algorithms=("RS",), trials=1,
+                              rs_budget=100, record_timing=False)
+        agg = run_experiment(spec).aggregates[0]
+        assert (agg.function, agg.png) == ("F4", png_ratio(2300, 100))
+
+    def test_lower_case_algorithm_accepted(self):
+        spec = ExperimentSpec(functions=("F1",), algorithms=("sgm", " rs"))
+        spec.validate()
+        assert spec.algorithms == ("SGM", "RS")
+
+    def test_override_key_matches_function_in_any_case(self):
+        spec = ExperimentSpec(functions=("f2",), overrides={"F2": {"tf": 3}, " f2": {"tc": "4"}})
+        spec.validate()
+        assert spec.overrides == {"F2": {"tf": 3, "tc": "4"}}
+
     def test_success_rules(self):
         assert is_success("F5", (-32.05, -31.95))
         assert not is_success("F5", (-31.0, -31.0))
@@ -227,6 +263,12 @@ class TestEmitters:
             assert parsed.best_f == orig.best_f
             assert parsed.sd == orig.sd
             assert parsed.generations == orig.generations
+
+    def test_parse_rejects_other_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text(CSV_AGGREGATE_HEADER + "\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            parse_trial_csv(path)
 
     def test_empty_report_headers_only(self, tmp_path):
         from sgmopt.bench import Report
@@ -327,6 +369,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    def test_validate_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "png_row", lambda: (0, 0, 0, 0, 0))
+        assert cli.main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("FAIL generation-ratio row")
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+
     def test_solve_non_finite_setting_exits_1(self, capsys):
         assert cli.main(["solve", "F1", "--rms", "nan"]) == 1
         assert capsys.readouterr().err == "error: alpha_base must be positive and finite\n"
@@ -379,8 +428,10 @@ class TestCli:
         ("sa_t0 = inf", "t0 must be positive and finite"),
         ("sa_scale = nan", "proposal_scale must be finite and >= 0"),
         ("F1.rms = nan", "alpha_base must be positive and finite"),
+        ("trials = 0", "trials must be >= 1"),
+        ("workers = 0", "workers must be >= 1"),
     ], ids=["rs_budget", "sa_cooling", "override_budget", "master_seed", "sa_t0_inf",
-            "sa_scale_nan", "override_rms_nan"])
+            "sa_scale_nan", "override_rms_nan", "trials", "workers"])
     def test_run_bad_value_exits_1(self, line, message, tmp_path, capsys):
         spec_file = tmp_path / "exp.txt"
         spec_file.write_text(f"functions = F1\nalgorithms = SGM, RS, SA\ntrials = 1\n{line}\n")

@@ -31,6 +31,14 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain(np.array([0.0, np.nan]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("lo,hi,message", [
+        (np.zeros((1, 2)), np.ones((1, 2)), "point must be 1-D"),
+        (np.zeros(2), np.ones(3), "lo/hi dimension mismatch"),
+    ], ids=["not_1d", "dim_mismatch"])
+    def test_rejects_malformed_bounds(self, lo, hi, message):
+        with pytest.raises(ValueError, match=message):
+            BoxDomain(lo, hi)
+
     def test_extent_and_center(self):
         b = box2(-4.5, 4.5)
         assert np.array_equal(b.extent, [9.0, 9.0])
@@ -50,6 +58,18 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(box2(-1, 1), (0.0, 0.0, 0.0))
+
+
+class TestObjective:
+    @pytest.mark.parametrize("dim,stochastic,message", [
+        (0, False, "dim must be positive"),
+        (3, False, "domain dimension mismatch"),
+        (2, True, "stochastic objectives must supply noise_free_fn"),
+    ], ids=["dim_zero", "domain_mismatch", "stochastic_without_noise_free_part"])
+    def test_rejects_inconsistent_fields(self, dim, stochastic, message):
+        with pytest.raises(ValueError, match=message):
+            Objective(name="Q", dim=dim, domain=box2(-1.0, 1.0), fn=lambda p: 0.0,
+                      stochastic=stochastic)
 
 
 class TestCountedEval:
@@ -82,6 +102,11 @@ class TestCountedEval:
         assert counter.count == 3
         counter.tick(2)
         assert counter.remaining == 0
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_counter_needs_a_positive_budget(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            EvalCounter(budget)
 
     def test_out_of_domain_rejected(self):
         obj = make_objective("F2")
@@ -150,6 +175,10 @@ class TestRngStream:
     def test_uniform_scalar_bounds(self):
         assert RngStream(4).uniform(-2.0, 3.0) == self.numpy_twin(4).uniform(-2.0, 3.0)
 
+    def test_rejects_empty_entropy(self):
+        with pytest.raises(ValueError, match="entropy tuple must be non-empty"):
+            RngStream()
+
     def test_uniform_rejects_non_finite_range(self):
         lo, hi = np.array([0.0, 0.0]), np.array([1.0, np.inf])
         with pytest.raises(OverflowError):
@@ -173,6 +202,11 @@ class TestSgmConfig:
         ("tolerance", np.inf, "tolerance must be positive and finite"),
         ("beta_sweep", (0.1, np.nan), "beta_sweep must contain positive finite values"),
         ("beta_sweep", (0.1, np.inf), "beta_sweep must contain positive finite values"),
+        ("tf_rounds", -1, "tf_rounds must be >= 0"),
+        ("trm_max", -1, "trm_max/tc_max must be >= 0"),
+        ("tc_max", -1, "trm_max/tc_max must be >= 0"),
+        ("seed", -1, "seed must fit in 64 unsigned bits"),
+        ("seed", 2**64, "seed must fit in 64 unsigned bits"),
     ])
     def test_rejects_non_finite_settings(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,14 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, RngStream, Sense, SgmConfig, better)
-from sgmopt.refinement import (DIR_FULL_MAX_DIM, RefineState,
-                               crossover_adjacent_sides, crossover_midpoint,
-                               diagonal_directions, ray_mutate, run_phase2,
+from sgmopt.refinement import (RefineState, crossover_adjacent_sides,
+                               crossover_midpoint, ray_mutate, run_phase2,
                                select_best_vertex, sweep, sweep_directions)
-from sgmopt.subdivision import (LabeledVertex, Phase1Outcome, initial_cell,
-                                run_phase1)
+from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, Phase1Outcome,
+                                initial_cell, run_phase1)
 from sgmopt.testbed import make_objective
 
 
@@ -77,15 +78,39 @@ class TestSelectBestVertex:
         assert tuple(p) == (1.0, 1.0) and v == 17.4
 
 
+def diagonals(n):
+    """Every sign vector of dimension n <= MOORE_FULL_MAX_DIM, in sweep order."""
+    return sweep_directions(n, np.zeros(n), np.zeros(n))
+
+
+def reference_directions(n, s, center):
+    """The direction list built in full on every call: every sign vector up
+    to MOORE_FULL_MAX_DIM, else the main diagonals, the inward diagonal and
+    the flips of both main diagonals axis by axis, first occurrences kept."""
+    if n <= MOORE_FULL_MAX_DIM:
+        return [tuple(p) for p in itertools.product((1, -1), repeat=n)]
+    inward = np.sign(np.asarray(center, dtype=float) - np.asarray(s, dtype=float))
+    inward = np.where(inward == 0, 1.0, inward)
+    dirs = [tuple([1] * n), tuple([-1] * n), tuple(int(v) for v in inward)]
+    for j in range(n):
+        flip = [1] * n
+        flip[j] = -1
+        dirs.append(tuple(flip))
+        flip2 = [-1] * n
+        flip2[j] = 1
+        dirs.append(tuple(flip2))
+    return list(dict.fromkeys(dirs))
+
+
 class TestDiagonalDirections:
     def test_n2(self):
-        assert diagonal_directions(2) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        assert diagonals(2) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
     def test_n1(self):
-        assert diagonal_directions(1) == [(1,), (-1,)]
+        assert diagonals(1) == [(1,), (-1,)]
 
     def test_n3_all_ones_first(self):
-        dirs = diagonal_directions(3)
+        dirs = diagonals(3)
         assert len(dirs) == 8
         assert dirs[0] == (1, 1, 1)
 
@@ -98,6 +123,24 @@ class TestDiagonalDirections:
         assert tuple([1] * n) in dirs  # inward from all-negative s is all-ones
         assert len(dirs) == len(set(dirs)) <= 2 * n + 3
 
+    def test_matches_reference(self):
+        """Same tuples of Python ints in the same order, with s off the
+        center, on it along some axes (inward +1 there), and one axis away
+        from it, where the inward diagonal is a main diagonal or a flip."""
+        rng = np.random.default_rng(4)
+        for k in range(400):
+            n = int(rng.integers(1, 41))
+            center = rng.uniform(-3.0, 3.0, n)
+            s = rng.uniform(-5.0, 5.0, n)
+            if k % 3 == 1:
+                s = np.where(rng.random(n) < 0.5, center, s)
+            elif k % 3 == 2:
+                s = center.copy()
+                s[rng.integers(n)] += rng.choice([-1.0, 1.0])
+            got = sweep_directions(n, s, center)
+            assert got == reference_directions(n, s, center)
+            assert all(type(c) is int for d in got for c in d)
+
 
 class TestRayMutate:
     def test_basic(self):
@@ -105,10 +148,6 @@ class TestRayMutate:
 
     def test_reaches_origin(self):
         assert tuple(ray_mutate((0.5, 0.5), (-1, -1), 0.5)) == (0.0, 0.0)
-
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            ray_mutate((3.0, 0.5), (1, -1), 0.0)
 
     def test_norms(self):
         rng = np.random.default_rng(2)
@@ -146,7 +185,7 @@ class TestAlphaSweep:
         obj = make_objective("F1")
         ctx = make_ctx(obj)
         state = RefineState(s=np.zeros(3), s_value=0.0)
-        assert sweep(state, ctx, SgmConfig(), diagonal_directions(3)) is None
+        assert sweep(state, ctx, SgmConfig(), diagonals(3)) is None
 
     def test_all_endpoints_infeasible(self):
         obj = make_objective("TP1", bounds=1.0)
@@ -162,7 +201,7 @@ class TestRotationalSweep:
         obj = needle_at_origin()
         ctx = make_ctx(obj)
         state = RefineState(s=np.array([0.25, -0.25]), s_value=0.0)
-        got = sweep(state, ctx, SgmConfig(), diagonal_directions(2))
+        got = sweep(state, ctx, SgmConfig(), diagonals(2))
         assert got is not None
         p, v = got
         assert tuple(p) == (0.0, 0.0) and v == -1.0
@@ -174,14 +213,14 @@ class TestRotationalSweep:
         ctx = make_ctx(obj)
         state = RefineState(s=np.array([0.25, -0.25]), s_value=0.0, rotations_used=5)
         cfg = SgmConfig(trm_max=5)
-        assert sweep(state, ctx, cfg, diagonal_directions(2)) is None
+        assert sweep(state, ctx, cfg, diagonals(2)) is None
         assert state.rotations_used == 5
 
     def test_no_improvement_at_optimum(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
         state = RefineState(s=np.zeros(2), s_value=-36.0)
-        assert sweep(state, ctx, SgmConfig(), diagonal_directions(2)) is None
+        assert sweep(state, ctx, SgmConfig(), diagonals(2)) is None
         assert state.rotations_used > 0
 
     def test_counts_candidates_tried(self):
@@ -189,7 +228,7 @@ class TestRotationalSweep:
         ctx = make_ctx(obj)
         state = RefineState(s=np.zeros(2), s_value=-36.0)
         cfg = SgmConfig(trm_max=7)
-        sweep(state, ctx, cfg, diagonal_directions(2))
+        sweep(state, ctx, cfg, diagonals(2))
         assert state.rotations_used == 7
 
 
@@ -320,7 +359,7 @@ class TestSweepsMatchReference:
             for sweep_fn in (sweep, reference_sweep):
                 dirs, config, ctx, state = sweep_start(case)
                 runs.append(sweep_run(sweep_fn, ctx, state, config, dirs))
-            if n > DIR_FULL_MAX_DIM:
+            if n > MOORE_FULL_MAX_DIM:
                 assert len(dirs) < 2 ** n
             assert runs[0] == runs[1], (n, case[1:6])
 
