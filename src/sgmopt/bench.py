@@ -259,7 +259,7 @@ def _run_single(spec: ExperimentSpec, func: str, alg: str, trial: int):
     svg = spec.emit_svg and spec.outputs and alg == "SGM" and obj.dim == 2
     collector = _SvgCollector() if svg else None
     if alg == "SGM":
-        cfg = apply_overrides(engine.default_config(func, seed=spec.master_seed),
+        cfg = apply_overrides(engine.default_config(func),
                               spec.overrides.get(func, {}))
         result = engine.solve(
             obj, cfg, rng=rng,
@@ -376,22 +376,27 @@ def emit_csv(report: Report, path) -> Path:
     return path
 
 
+def _trial_row(line: str) -> TrialRow:
+    parts, width = line.split(","), CSV_TRIAL_HEADER.count(",") + 1
+    if len(parts) != width:
+        raise ValueError(f"{len(parts)} fields, expected {width}")
+    return TrialRow(
+        function=parts[0], algorithm=parts[1], trial=int(parts[2]),
+        seed=int(parts[3]), generations=int(parts[4]),
+        evaluations=int(parts[5]), best_f=float(parts[6]),
+        best_x=tuple(float(t) for t in parts[7].split(";")),
+        sd=float(parts[8]) if parts[8] else None, sd_vector=None,
+        wallclock_ms=float(parts[9]))
+
+
 def parse_trial_csv(path) -> List[TrialRow]:
-    """Read back an emitted trial CSV (inverse of emit_csv for trial rows)."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Read back an emitted trial CSV (inverse of emit_csv for trial rows);
+    malformed input raises ValueError naming the file and line."""
+    lines = Path(path).read_text().strip().splitlines() or [""]
     if lines[0] != CSV_TRIAL_HEADER:
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(TrialRow(
-            function=parts[0], algorithm=parts[1], trial=int(parts[2]),
-            seed=int(parts[3]), generations=int(parts[4]),
-            evaluations=int(parts[5]), best_f=float(parts[6]),
-            best_x=tuple(float(t) for t in parts[7].split(";")),
-            sd=float(parts[8]) if parts[8] else None, sd_vector=None,
-            wallclock_ms=float(parts[9])))
-    return rows
+        raise ValueError(f"{path}:1: unexpected header {lines[0]!r}")
+    return [_convert(_trial_row, line, f"{path}:{lineno}")
+            for lineno, line in enumerate(lines[1:], 2)]
 
 
 def emit_json(report: Report, path) -> Path:

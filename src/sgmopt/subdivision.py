@@ -262,19 +262,6 @@ def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
     return label_vertices(ctx, cell, np.array([rel]), cell.center[None], config)[0]
 
 
-def _corner_blocks(candidates: List[GridCell]):
-    """Yield ``(i, R)`` over the corner plans of the same-level
-    ``candidates`` in (candidate, corner) order: R holds the integer grid
-    coordinates of up to CHUNK_ROWS corners of candidate i, as rows of
-    ``base_k`` plus the corner index's bits."""
-    plan = np.array(candidates[0].corner_indices(), dtype=np.int64)
-    bits = ((plan[:, None] >> np.arange(candidates[0].dim)) & 1).astype(np.int8)
-    for i, cell in enumerate(candidates):
-        base = np.array(cell.base_k, dtype=np.int64)
-        for start in range(0, len(bits), CHUNK_ROWS):
-            yield i, bits[start:start + CHUNK_ROWS] + base
-
-
 def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig):
     """Label the corner plan of every candidate, walking (candidate, corner)
     in order and labeling each distinct vertex once, in chunks.
@@ -292,33 +279,31 @@ def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig)
     grid, n = candidates[0], candidates[0].dim
     hinted = config.labeling is LabelStrategy.BEST_NEIGHBOR and n > MOORE_FULL_MAX_DIM
     width = 1 if config.labeling is LabelStrategy.GRADIENT else 1 + len(moore_offsets(n)) + hinted
-    verts = []                 # labeled vertices, by id
+    bits = (np.array(grid.corner_indices())[:, None] >> np.arange(n)) & 1
+    seen: dict = {}            # row_keys of grid coordinates -> vertex id
     walks = [[] for _ in candidates]    # vertex id of each corner walked
 
-    def label_chunks(todo, hints, last):
-        """Label chunks of the found vertices ``todo`` (and their hints),
-        only full ones unless ``last``; return what is left."""
-        while len(todo):
-            k = max(1, min(ctx.counter.remaining, CHUNK_ROWS) // width)
-            if len(todo) < k and not last:
-                break
-            verts.extend(label_vertices(ctx, grid, todo[:k], hints[:k] if hinted else None,
-                                        config))
-            todo, hints = todo[k:], hints[k:]
-        return todo, hints
+    def new_vertices():
+        """``(rel, hint)`` of each vertex the walk reaches first."""
+        for cell, walk in zip(candidates, walks):
+            base = np.array(cell.base_k, dtype=np.int64)
+            hint = cell.center if hinted else None
+            for start in range(0, len(bits), CHUNK_ROWS):
+                R, old = bits[start:start + CHUNK_ROWS] + base, len(seen)
+                ids = [seen.setdefault(key, len(seen)) for key in row_keys(R)]
+                walk += ids
+                for rel in R[np.array(ids) >= old]:
+                    yield rel, hint
 
-    seen: dict = {}            # row_keys of grid coordinates -> vertex id
-    todo, hints = np.empty((0, n), dtype=np.int64), np.empty((0, n))
+    verts = []                 # labeled vertices, by id
+    stream = new_vertices()
     budget_hit = False
     try:
-        for i, R in _corner_blocks(candidates):
-            ids = [seen.setdefault(key, len(seen)) for key in row_keys(R)]
-            walks[i] += ids
-            new = R[np.array(ids) >= len(verts) + len(todo)]
-            if hinted:
-                hints = np.concatenate([hints, np.tile(candidates[i].center, (len(new), 1))])
-            todo, hints = label_chunks(np.concatenate([todo, new]), hints, last=False)
-        label_chunks(todo, hints, last=True)
+        while chunk := list(itertools.islice(
+                stream, max(1, min(ctx.counter.remaining, CHUNK_ROWS) // width))):
+            rels, hints = zip(*chunk)
+            verts += label_vertices(ctx, grid, np.array(rels),
+                                    np.array(hints) if hinted else None, config)
     except BudgetExceeded:
         budget_hit = True
     labeled = [[] for _ in candidates]

@@ -270,6 +270,23 @@ class TestEmitters:
         with pytest.raises(ValueError, match="unexpected header"):
             parse_trial_csv(path)
 
+    @pytest.mark.parametrize("body, lineno, what", [
+        ("", 1, "unexpected header"),
+        ("{row}\nTP1,SGM,1,2,3", 3, "5 fields, expected 10"),
+        ("{row},extra", 2, "11 fields, expected 10"),
+        ("{row}\n{bad_trial}", 3, "invalid literal for int"),
+    ], ids=["empty", "short", "eleven", "trial"])
+    def test_parse_names_file_and_line(self, tmp_path, body, lineno, what):
+        path = tmp_path / "out.csv"
+        emit_csv(self._small_report(), path)
+        header, row = path.read_text().splitlines()[:2]
+        fields = row.split(",")
+        bad_trial = ",".join(fields[:2] + ["x"] + fields[3:])
+        text = body.format(row=row, bad_trial=bad_trial)
+        path.write_text(text and f"{header}\n{text}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {what}")):
+            parse_trial_csv(path)
+
     def test_empty_report_headers_only(self, tmp_path):
         from sgmopt.bench import Report
         rep = Report(rows=[], aggregates=[], png_row={})

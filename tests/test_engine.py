@@ -30,6 +30,24 @@ class TestDefaultConfig:
     def test_accepts_objective(self):
         assert default_config(make_objective("F5")).tf_rounds == 8
 
+    @staticmethod
+    def square(side):
+        return Objective(name="BOWL", dim=2, domain=BoxDomain(np.zeros(2), np.full(2, side)),
+                         fn=lambda p: float(np.sum((p - 0.3 * side) ** 2)))
+
+    def test_alpha_base_fits_narrow_boxes(self):
+        # 0.021 / 10 rounds up, so ten times it would exceed 0.021.
+        for side in (1e-6, 0.021, 0.5, 0.999, 1.0, 2.0):
+            obj = self.square(side)
+            cfg = default_config(obj)
+            cfg.validate(obj)
+            assert cfg.alpha_base == (0.1 if side >= 1.0 else pytest.approx(side / 10))
+
+    def test_solves_narrow_box(self):
+        obj = self.square(0.5)
+        r = solve(obj, default_config(obj, seed=1))
+        assert r.best_value < 1e-8
+
 
 class TestSolve:
     def test_tp1_defaults(self):

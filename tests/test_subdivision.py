@@ -6,7 +6,8 @@ import pytest
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          LabelStrategy, Objective, RefinementLimit, RngStream,
                          Sense, SgmConfig, better, box_mask, contains, rank,
-                         vectorises)
+                         row_keys, vectorises)
+from sgmopt import subdivision
 from sgmopt.engine import solve
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
                                 best_neighbor, grid_point, initial_cell,
@@ -404,6 +405,25 @@ class TestLabelRoundMatchesPerVertexReference:
                              LabelStrategy.BEST_NEIGHBOR)
             assert got == want, budget
             assert want[-1][1] == (budget < total)
+
+
+def test_label_round_enumerates_corners_lazily(monkeypatch):
+    """A budget that runs out inside round 1's first candidate walks no
+    more than that candidate's corner plan: 256 corners at n = 8, not the
+    256 candidates' 65,536."""
+    walked = []
+
+    def counting_row_keys(R):
+        walked.append(len(R))
+        return row_keys(R)
+
+    monkeypatch.setattr(subdivision, "row_keys", counting_row_keys)
+    obj = patchy(8, batched=True)
+    candidates = initial_cell(obj.domain).subdivide()
+    labeled, budget_hit = label_round(make_ctx(obj, budget=100), candidates, SgmConfig())
+    assert len(candidates) == 256 and budget_hit
+    assert 0 < len(labeled[0]) < 256 and not any(labeled[1:])
+    assert 0 < sum(walked) <= 256
 
 
 def labeled_corners(cell, labels, values):
