@@ -309,7 +309,7 @@ class SgmConfig:
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if obj is not None:
-            if 10.0 * self.alpha_base > float(np.max(obj.domain.extent)):
+            if self.alpha_base > float(np.max(obj.domain.extent)) / 10:
                 raise ValueError("alpha_base*10 exceeds the largest domain extent")
             if self.labeling is LabelStrategy.GRADIENT and obj.gradient_fn is None:
                 raise ValueError(f"{obj.name} has no gradient; use BEST_NEIGHBOR labeling")

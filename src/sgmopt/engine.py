@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Optional
 
@@ -24,16 +23,13 @@ _FUNCTION_SETTINGS = {
 
 def default_config(obj_or_name, seed: int = 0) -> SgmConfig:
     """Per-function tuned settings for F1-F5, SgmConfig's defaults otherwise.
-    On an Objective's box narrower than 1.0, ``alpha_base`` is the largest
-    value under 0.1 that ``validate`` accepts (ten times it fits the box)."""
+    On an Objective's box narrower than 1.0, ``alpha_base`` is a tenth of its
+    widest side, the largest value ``validate`` accepts."""
     name = obj_or_name.name if isinstance(obj_or_name, Objective) else str(obj_or_name)
     settings = _FUNCTION_SETTINGS.get(name.strip().upper(), {})
     cfg = SgmConfig(seed=seed, **settings)
     if isinstance(obj_or_name, Objective):
-        widest = float(max(obj_or_name.domain.extent))
-        cfg.alpha_base = min(cfg.alpha_base, widest / 10)
-        while 10.0 * cfg.alpha_base > widest:     # widest / 10 rounded up
-            cfg.alpha_base = math.nextafter(cfg.alpha_base, 0.0)
+        cfg.alpha_base = min(cfg.alpha_base, float(max(obj_or_name.domain.extent)) / 10)
     return cfg
 
 

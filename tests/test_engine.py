@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sgmopt.core import (BoxDomain, LabelStrategy, Objective, ObjectiveError,
                          Sense, SgmConfig)
@@ -36,12 +38,23 @@ class TestDefaultConfig:
                          fn=lambda p: float(np.sum((p - 0.3 * side) ** 2)))
 
     def test_alpha_base_fits_narrow_boxes(self):
-        # 0.021 / 10 rounds up, so ten times it would exceed 0.021.
-        for side in (1e-6, 0.021, 0.5, 0.999, 1.0, 2.0):
+        for side in (1e-6, 0.021, 0.5, 0.999, np.nextafter(1.0, 0.0), 1.0, 2.0):
             obj = self.square(side)
             cfg = default_config(obj)
             cfg.validate(obj)
-            assert cfg.alpha_base == (0.1 if side >= 1.0 else pytest.approx(side / 10))
+            assert cfg.alpha_base == (0.1 if side >= 1.0 else side / 10)
+
+    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-9, 2)), min_size=1, max_size=6))
+    def test_valid_on_every_box(self, sides):
+        # Each side is 10**e long, from 1e-9 to 100, at an offset lo.
+        lo = np.array([a for a, _ in sides])
+        obj = Objective(name="BOX", dim=len(sides),
+                        domain=BoxDomain(lo, lo + np.array([10.0 ** e for _, e in sides])),
+                        fn=lambda p: 0.0)
+        cfg = default_config(obj)
+        cfg.validate(obj)
+        widest = float(max(obj.domain.extent))
+        assert cfg.alpha_base == (0.1 if widest >= 1.0 else widest / 10)
 
     def test_solves_narrow_box(self):
         obj = self.square(0.5)
