@@ -73,14 +73,16 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
     # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
-    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
+    lo, hi, span = obj.domain.lo[None], obj.domain.hi[None], obj.domain.extent[None]
+    if not np.isfinite(span).all():
+        raise OverflowError("Range exceeds valid bounds")
     batch = None if obj.stochastic else batch_form(obj.fn)
     step = 1 if obj.stochastic else RS_BLOCK
     best_x = None
     best_v = None
     trace = []
     for start in range(0, budget, step):
-        X = rng.uniform(lo, hi, size=(min(step, budget - start), obj.dim))
+        X = lo + span * rng.random((min(step, budget - start), obj.dim))
         if not np.logical_and.reduce((X >= lo) & (X <= hi), axis=None):
             raise ValueError(f"{obj.name}: draws outside domain")
         vals = [_call(obj, x, rng) for x in X] if batch is None else batch(X).tolist()

@@ -124,8 +124,8 @@ class RngStream:
     def substream(self, *idx: int) -> "RngStream":
         return RngStream(*(self.entropy + tuple(int(i) for i in idx)))
 
-    def random(self) -> float:
-        return float(self._gen.random())
+    def random(self, size=None):
+        return float(self._gen.random()) if size is None else self._gen.random(size)
 
     def uniform(self, lo, hi, size=None):
         """``Generator.uniform(lo, hi, size)``, bit for bit, without its
@@ -445,7 +445,8 @@ class EvalContext:
         with ``beat``, only of the rows up to and including the first one
         strictly ``better`` than ``beat``.  The cache, counter and best
         point end as those successive ``value`` calls would leave them, and
-        BudgetExceeded is raised where they would raise it.
+        BudgetExceeded is raised where they would raise it, with the values
+        of the rows before the first one left unpaid as its ``settled``.
 
         With a batch form (see ``vectorises``), one call of it evaluates
         the first occurrence of each cache miss, as many as the budget has
@@ -459,47 +460,50 @@ class EvalContext:
         P = np.asarray(P, dtype=float)
         keys = row_keys(P)
         cache = self._cache
-        if self._batch is None or (beat is not None and len(P) < WALK_BATCH_MIN):
-            walked = []
+        if self._batch is not None and (beat is None or len(P) >= WALK_BATCH_MIN):
+            misses: dict = {}
+            for i, key in enumerate(keys):
+                if key not in cache and key not in misses:
+                    misses[key] = i
+            order = list(misses.values())
+            rows = order[:self.counter.remaining]
+            vals = []
+            if rows:
+                try:
+                    vals = (self.sign * self._batch(P[rows]) + self._noise_offset).tolist()
+                except Exception as exc:
+                    self.counter.tick(len(rows))
+                    raise ObjectiveError(
+                        f"{self.obj.name} raised on a batch of {len(rows)} rows: {exc!r}") from exc
+            n, short = len(rows), len(rows) < len(order)
+            stop = order[n] if short else len(keys)    # the first row left unpaid
+            if beat is not None:
+                fresh = dict(zip(misses, vals))
+                A = np.array([fresh[k] if k in fresh else cache[k] for k in keys[:stop]])
+                wins = np.flatnonzero((A < beat) | ((beat != beat) & (A == A)))
+                if wins.size:
+                    stop, short = int(wins[0]) + 1, False
+                    n = bisect.bisect_left(rows, stop)
+            self.counter.tick(n)
+            for i, v in zip(rows[:n], vals):
+                cache[keys[i]] = v
+                if self.best_value is None or better(v, self.best_value):
+                    self.best_value = v
+                    self.best_point = P[i].copy()
+            if not short:    # else the walk below reads the paid rows and raises at the next
+                return [cache[key] for key in keys[:stop]]
+        walked = []
+        try:
             for p, key in zip(P, keys):
                 hit = cache.get(key)
                 v = hit if hit is not None else self.value(p, key)
                 walked.append(v)
                 if beat is not None and better(v, beat):
                     break
-            return walked
-        misses: dict = {}
-        for i, key in enumerate(keys):
-            if key not in cache and key not in misses:
-                misses[key] = i
-        order = list(misses.values())
-        rows = order[:self.counter.remaining]
-        vals = []
-        if rows:
-            try:
-                vals = (self.sign * self._batch(P[rows]) + self._noise_offset).tolist()
-            except Exception as exc:
-                self.counter.tick(len(rows))
-                raise ObjectiveError(
-                    f"{self.obj.name} raised on a batch of {len(rows)} rows: {exc!r}") from exc
-        n, stop = len(rows), len(keys)
-        if beat is not None:
-            fresh = dict(zip(misses, vals))
-            cut = order[n] if n < len(order) else len(keys)
-            A = np.array([fresh[k] if k in fresh else cache[k] for k in keys[:cut]])
-            wins = np.flatnonzero((A < beat) | ((beat != beat) & (A == A)))
-            if wins.size:
-                stop = int(wins[0]) + 1
-                n = bisect.bisect_left(rows, stop)
-        self.counter.tick(n)
-        for i, v in zip(rows[:n], vals):
-            cache[keys[i]] = v
-            if self.best_value is None or better(v, self.best_value):
-                self.best_value = v
-                self.best_point = P[i].copy()
-        if stop == len(keys) and len(rows) < len(order):
-            raise BudgetExceeded(f"evaluation budget {self.counter.budget} exhausted")
-        return [cache[key] for key in keys[:stop]]
+        except BudgetExceeded as exc:
+            exc.settled = walked
+            raise
+        return walked
 
     def gradient(self, x) -> np.ndarray:
         """``sign`` times ``gradient_fn(x)``; what it raises becomes ObjectiveError."""

@@ -31,9 +31,8 @@ from .core import contains  # noqa: F401
 MOORE_FULL_MAX_DIM = 6
 CORNER_ENUM_MAX_DIM = 12
 MAX_LEVEL = 40
-# Rows of one phase-1 labeling chunk: bounds the memory of a batch, not a
-# tuning knob.
-CHUNK_ROWS = 1024
+# Array elements of one phase-1 labeling chunk: keeps them cache-sized.
+CHUNK_ELEMS = 2 ** 15
 
 
 def grid_point(lo: np.ndarray, k, step: np.ndarray) -> np.ndarray:
@@ -179,7 +178,15 @@ def neighborhood(V, h, box: BoxDomain, hints=None):
     """
     V = np.asarray(V, dtype=float)
     Q = V[:, None] + moore_offsets(V.shape[1]) * h
-    if V.shape[1] <= MOORE_FULL_MAX_DIM or hints is None:
+    if V.shape[1] <= MOORE_FULL_MAX_DIM:
+        S = V[:, :, None] + h[:, None] * (-1.0, 0.0, 1.0)    # V + -h, V + 0.0, V + h: Q's values
+        inside = (S >= box.lo[:, None]) & (S <= box.hi[:, None])
+        mask = inside[:, 0]
+        for j in range(1, V.shape[1]):    # AND over the axes, in offset order
+            mask = (mask[:, :, None] & inside[:, j, None]).reshape(len(V), -1)
+        mid = mask.shape[1] // 2    # the zero offset; np.delete costs more at small k
+        return Q, np.concatenate([mask[:, :mid], mask[:, mid + 1:]], axis=1)
+    if hints is None:
         return Q, box_mask(box, Q)
     inward = np.sign(hints - V)
     Q = np.concatenate([Q, (V + inward * h)[:, None]], axis=1)
@@ -193,16 +200,21 @@ def best_neighbor(ctx: EvalContext, V, h, hints=None):
     """Best point over the Moore neighborhood of each row v of the (k, n)
     batch ``V``, v itself included, evaluated in one ``ctx.values`` call.
 
-    Returns (C, D, f): the best points, D = C - V, and the values of the
-    rows of V.  A row of D is zero exactly when v beats or ties every
-    neighbor (v wins ties, neighbor ties go to enumeration order).
+    Returns (C, D, f) for the leading rows of V the budget paid for: the
+    best points, D = C - V and the values.  A row of D is zero exactly
+    when v beats or ties every neighbor (neighbor ties: enumeration order).
     """
     V = np.asarray(V, dtype=float)
     Q, mask = neighborhood(V, h, ctx.obj.domain, hints)
     R = np.concatenate([V[:, None], Q], axis=1)
     M = np.concatenate([np.ones((len(V), 1), dtype=bool), mask], axis=1)
     A = np.full(M.shape, np.nan)
-    A[M] = ctx.values(R[M])
+    try:
+        A[M] = ctx.values(R[M])
+    except BudgetExceeded as exc:    # keep the rows of V whose points were all settled
+        k = int(np.searchsorted(np.cumsum(M.sum(axis=1)), len(exc.settled), side="right"))
+        V, R, M, A = V[:k], R[:k], M[:k], A[:k]
+        A[M] = exc.settled[:np.count_nonzero(M)]
     # ``better``'s ranking in one reduction per row: the first lowest value
     # among the non-NaN entries, or entry 0 (v) when every value is NaN.
     # Rows outside the box are NaN here, so they never win.
@@ -231,7 +243,7 @@ def label_by_gradient(w) -> int:
 def label_vertices(ctx: EvalContext, cell: GridCell, rels, hints,
                    config: SgmConfig) -> List[LabeledVertex]:
     """Label the vertices of ``cell``'s grid at the integer grid coordinates
-    ``rels`` (a (k, n) array), with one ``ctx.values`` call.
+    ``rels`` (a (k, n) array) with one ``ctx.values`` call, as far as the budget pays.
 
     The neighborhood step is half the cell step (the next grid's spacing):
     labels then mirror where the refined grid's improvement step would move
@@ -245,21 +257,25 @@ def label_vertices(ctx: EvalContext, cell: GridCell, rels, hints,
         _, D, f = best_neighbor(ctx, V, 0.5 * cell.step, hints)
         labels, values = label_by_direction(D).tolist(), f.tolist()
     else:
-        values = ctx.values(V)
-        box = ctx.obj.domain
-        off = 1e-9 * cell.step
+        try:
+            values = ctx.values(V)
+        except BudgetExceeded as exc:
+            values = exc.settled
+        box, off = ctx.obj.domain, 1e-9 * cell.step
         X = np.where(V <= box.lo, V + off, V)
         X = np.where(V >= box.hi, X - off, X)
-        labels = [label_by_gradient(ctx.gradient(x)) for x in X]
+        labels = [label_by_gradient(ctx.gradient(x)) for x in X[:len(values)]]
     return [LabeledVertex(tuple(v), tuple(r), lab, val) for v, r, lab, val
             in zip(V.tolist(), rels.tolist(), labels, values)]
 
 
 def label_vertex(ctx: EvalContext, cell: GridCell, rel: tuple,
                  config: SgmConfig) -> LabeledVertex:
-    """``label_vertices`` of the one vertex at grid coordinates ``rel`` (a
-    corner's ``cell.corner_rel(index)``), hinted toward ``cell.center``."""
-    return label_vertices(ctx, cell, np.array([rel]), cell.center[None], config)[0]
+    """``label_vertices`` of the one vertex at grid coordinates ``rel``, hinted
+    toward ``cell.center``; BudgetExceeded if the budget cannot pay for it."""
+    for vert in label_vertices(ctx, cell, np.array([rel]), cell.center[None], config):
+        return vert
+    raise BudgetExceeded(f"evaluation budget {ctx.counter.budget} exhausted")
 
 
 def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig):
@@ -267,14 +283,13 @@ def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig)
     in order and labeling each distinct vertex once, in chunks.
 
     Returns ``(labeled, budget_hit)``: each candidate's labeled corners,
-    cut on BudgetExceeded at the first corner whose vertex was not labeled
-    (later candidates get none).  A vertex takes the center hint of the
-    candidate that reached it first.  A chunk holds as many vertices as fit
-    in ``min(remaining budget, CHUNK_ROWS)`` rows, at least one, counting
-    a vertex as its full neighborhood: a chunk of several vertices then
-    never runs out of budget, and a one-vertex chunk commits exactly the
-    evaluations that fit.  Corners are enumerated only as far as the
-    chunks need them, so a round the budget stops early stays small.
+    cut at the first corner whose vertex the budget left unlabeled (later
+    candidates get none).  A vertex takes the center hint of the candidate
+    that reached it first.  A chunk holds 1 to ``remaining`` vertices, with
+    (vertices, neighborhood, n) arrays of at most CHUNK_ELEMS elements; the
+    round stops at the first one the budget cut short, as labeling one
+    vertex at a time did.  Corners are walked CHUNK_ELEMS // width at a
+    time, and only as far as the chunks need them.
     """
     grid, n = candidates[0], candidates[0].dim
     hinted = config.labeling is LabelStrategy.BEST_NEIGHBOR and n > MOORE_FULL_MAX_DIM
@@ -288,8 +303,8 @@ def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig)
         for cell, walk in zip(candidates, walks):
             base = np.array(cell.base_k, dtype=np.int64)
             hint = cell.center if hinted else None
-            for start in range(0, len(bits), CHUNK_ROWS):
-                R, old = bits[start:start + CHUNK_ROWS] + base, len(seen)
+            for start in range(0, len(bits), CHUNK_ELEMS // width):
+                R, old = bits[start:start + CHUNK_ELEMS // width] + base, len(seen)
                 ids = [seen.setdefault(key, len(seen)) for key in row_keys(R)]
                 walk += ids
                 for rel in R[np.array(ids) >= old]:
@@ -298,14 +313,13 @@ def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig)
     verts = []                 # labeled vertices, by id
     stream = new_vertices()
     budget_hit = False
-    try:
-        while chunk := list(itertools.islice(
-                stream, max(1, min(ctx.counter.remaining, CHUNK_ROWS) // width))):
-            rels, hints = zip(*chunk)
-            verts += label_vertices(ctx, grid, np.array(rels),
-                                    np.array(hints) if hinted else None, config)
-    except BudgetExceeded:
-        budget_hit = True
+    while not budget_hit and (chunk := list(itertools.islice(
+            stream, max(1, min(ctx.counter.remaining, CHUNK_ELEMS // (width * n)))))):
+        rels, hints = zip(*chunk)
+        got = label_vertices(ctx, grid, np.array(rels),
+                             np.array(hints) if hinted else None, config)
+        verts += got
+        budget_hit = len(got) < len(chunk)
     labeled = [[] for _ in candidates]
     for lab, ids in zip(labeled, walks):
         lab += [verts[i] for i in itertools.takewhile(lambda i: i < len(verts), ids)]

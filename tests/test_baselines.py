@@ -44,6 +44,13 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             random_search(make_objective("F1"), 0, RngStream(0))
 
+    def test_rejects_a_box_too_wide_to_draw_from(self):
+        # hi - lo overflows to inf; numpy's Generator.uniform refuses it too.
+        obj = Objective("WIDE", 2, BoxDomain(np.full(2, -1e308), np.full(2, 1e308)),
+                        lambda p: 0.0)
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            random_search(obj, 3, RngStream(0))
+
 
 def row_by_row(obj):
     """A copy of ``obj`` whose fn wraps the test-bed one, so random search

@@ -8,7 +8,7 @@ from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Sense, SgmConfig, better, box_mask, contains, rank,
                          row_keys, vectorises)
 from sgmopt import subdivision
-from sgmopt.engine import solve
+from sgmopt.engine import default_config, solve
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
                                 best_neighbor, grid_point, initial_cell,
                                 label_by_direction, label_by_gradient, label_round,
@@ -392,13 +392,33 @@ class TestLabelRoundMatchesPerVertexReference:
             assert got == want, (sense, labeling)
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batch", "rows"])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_every_budget(self, n, batched):
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_every_budget(self, n, batched, monkeypatch):
+        """Every budget for n <= 3.  For n = 5 and 6, whose chunks hold
+        several vertices, every 20th of the range and each budget within
+        one of the evaluation count at a chunk's end, so the budget runs
+        out inside a chunk, at its last point and just after it.  n = 6
+        labels one round: its second costs 15,625 evaluations."""
         obj = patchy(n, batched)
-        rounds = lineage(obj, 2)
+        rounds = lineage(obj, 2 if n <= 5 else 1)
         total = run_rounds(reference_label_round, obj, rounds, 10**6, Sense.MIN,
                            LabelStrategy.BEST_NEIGHBOR)[-1][2]
-        for budget in range(1, total + 1):
+        ends = []
+        label_vertices = subdivision.label_vertices
+
+        def recording(ctx, *args):
+            labeled = label_vertices(ctx, *args)
+            ends.append(ctx.counter.count)
+            return labeled
+
+        monkeypatch.setattr(subdivision, "label_vertices", recording)
+        run_rounds(label_round, obj, rounds, total, Sense.MIN, LabelStrategy.BEST_NEIGHBOR)
+        monkeypatch.undo()
+        budgets = range(1, total + 1)
+        if n > 3:
+            near_ends = {e + d for e in ends for d in (-1, 0, 1)}
+            budgets = sorted(set(budgets[::max(1, total // 20)]) | near_ends & set(budgets))
+        for budget in budgets:
             want = run_rounds(reference_label_round, obj, rounds, budget, Sense.MIN,
                               LabelStrategy.BEST_NEIGHBOR)
             got = run_rounds(label_round, obj, rounds, budget, Sense.MIN,
@@ -424,6 +444,37 @@ def test_label_round_enumerates_corners_lazily(monkeypatch):
     assert len(candidates) == 256 and budget_hit
     assert 0 < len(labeled[0]) < 256 and not any(labeled[1:])
     assert 0 < sum(walked) <= 256
+
+
+def shifted_sphere(n):
+    """The sphere moved to a point drawn in [-5.12, 5.12]^n, with no batch
+    form, as the benchmark's ``grid`` workload builds it (seed 1, cycle 0)."""
+    shift = np.random.default_rng(np.random.SeedSequence((1, 0, n))).uniform(-5.12, 5.12, n)
+    return Objective(f"SPHERE{n}", n, box(-5.12, 5.12, n),
+                     lambda p: float(np.add.reduce((p - shift) ** 2)))
+
+
+@pytest.mark.parametrize("name, most", [("SPHERE6", 25), ("F3", 30)])
+def test_phase1_labels_in_few_chunks(monkeypatch, name, most):
+    """Phase 1 labels in chunks of several vertices at n = 5 and 6.  With
+    chunks of 1,024 rows, each vertex counted at its full neighborhood (4
+    vertices a chunk at n = 5, 1 at n = 6), the 6-D sphere at the
+    benchmark's 5,000 evaluations made 136 ``values`` calls and F3's
+    default run 130."""
+    obj = shifted_sphere(6) if name == "SPHERE6" else make_objective(name)
+    config = default_config(obj)
+    if name == "SPHERE6":
+        config.eval_budget = 5_000
+    calls = []
+    values = EvalContext.values
+
+    def counting(self, P, beat=None):
+        calls.append(len(P))
+        return values(self, P, beat)
+
+    monkeypatch.setattr(EvalContext, "values", counting)
+    run_phase1(obj, config, make_ctx(obj, budget=config.eval_budget))
+    assert 0 < len(calls) <= most
 
 
 def labeled_corners(cell, labels, values):
