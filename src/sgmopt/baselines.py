@@ -73,7 +73,9 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
     # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
-    lo, hi, span = obj.domain.lo[None], obj.domain.hi[None], obj.domain.extent[None]
+    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
+    with np.errstate(over="ignore"):    # an inf span raises below instead
+        span = hi - lo
     if not np.isfinite(span).all():
         raise OverflowError("Range exceeds valid bounds")
     batch = None if obj.stochastic else batch_form(obj.fn)
@@ -142,8 +144,8 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
     sa.validate()
     t0_clock = time.perf_counter()
     box = obj.domain
-    base_sigma = sa.proposal_scale * box.extent
     x = rng.uniform(box.lo, box.hi)
+    base_sigma = sa.proposal_scale * box.extent
     if not box_mask(box, x):
         raise ValueError(f"{obj.name}: start point {x} outside domain")
     fx = _call(obj, x, rng)

@@ -14,6 +14,8 @@ import bisect
 import enum
 import numbers
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -131,7 +133,8 @@ class RngStream:
         """``Generator.uniform(lo, hi, size)``, bit for bit, without its
         broadcasting overhead; ``size=None`` draws one number per element
         of the broadcast bounds."""
-        span = np.subtract(hi, lo)
+        with np.errstate(over="ignore"):    # an inf span raises below instead
+            span = np.subtract(hi, lo)
         if not np.logical_and.reduce(np.isfinite(span), axis=None):
             raise OverflowError("Range exceeds valid bounds")
         if size is None:
@@ -317,17 +320,54 @@ class SgmConfig:
                 raise ValueError(f"{obj.name} is stochastic; use BEST_NEIGHBOR labeling")
 
 
+class Trace(Sequence):
+    """A run's trace rows ``(generation, value, point)`` in a fraction of a
+    list's memory: an ``array('q')``, an ``array('d')`` and a float64 (m, n)
+    matrix.  Read-only; it gives back ``(int, float, tuple)`` rows, equals
+    them as a list, has that list's repr, and ``+`` with a list gives a list."""
+
+    __slots__ = ("_gens", "_values", "_points")
+
+    def __init__(self, rows=()):
+        gens, values, points = list(zip(*rows)) or [(), (), ()]
+        self._gens, self._values = array("q", gens), array("d", values)
+        self._points = np.array(points, dtype=float)
+
+    def __len__(self):
+        return len(self._gens)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return self._gens[i], self._values[i], tuple(self._points[i].tolist())
+
+    def __iter__(self):
+        return zip(self._gens, self._values, map(tuple, self._points.tolist()))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Trace, list)) else NotImplemented
+
+    def __add__(self, other):
+        return list(self) + other
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass
 class RunResult:
-    """Outcome of one solver run."""
+    """Outcome of one solver run; a ``trace`` given as rows becomes a Trace."""
 
     best_point: tuple
     best_value: float
     evaluations: int
     generations: int
     sd: Optional[float]
-    trace: list = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     wallclock_ms: float = 0.0
+
+    def __post_init__(self):
+        self.trace = self.trace if isinstance(self.trace, Trace) else Trace(self.trace)
 
     @classmethod
     def build(cls, obj: Objective, best_point, best_value, evaluations: int,
@@ -470,7 +510,8 @@ class EvalContext:
             vals = []
             if rows:
                 try:
-                    vals = (self.sign * self._batch(P[rows]) + self._noise_offset).tolist()
+                    V = self.sign * self._batch(P[rows]) + self._noise_offset
+                    vals = V.tolist()
                 except Exception as exc:
                     self.counter.tick(len(rows))
                     raise ObjectiveError(
@@ -485,13 +526,15 @@ class EvalContext:
                     stop, short = int(wins[0]) + 1, False
                     n = bisect.bisect_left(rows, stop)
             self.counter.tick(n)
-            for i, v in zip(rows[:n], vals):
-                cache[keys[i]] = v
-                if self.best_value is None or better(v, self.best_value):
-                    self.best_value = v
-                    self.best_point = P[i].copy()
+            if n:
+                cache.update(zip(misses, vals[:n]))
+                # The row walk keeps the first row ranked lowest by ``better``.
+                j = int(np.argmax(V[:n] == np.fmin.reduce(V[:n])))
+                if self.best_value is None or better(vals[j], self.best_value):
+                    self.best_value = vals[j]
+                    self.best_point = P[rows[j]].copy()
             if not short:    # else the walk below reads the paid rows and raises at the next
-                return [cache[key] for key in keys[:stop]]
+                return list(map(cache.__getitem__, keys[:stop]))
         walked = []
         try:
             for p, key in zip(P, keys):

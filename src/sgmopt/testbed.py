@@ -7,11 +7,11 @@ registered with ``core.vectorises`` that evaluates each row of an (m, n)
 array in one call.  Where a scalar form applies ``**`` to a single number,
 its batch form uses ``np.float_power``, which calls the same libm ``pow``;
 ``np.power`` and ``x * x`` round differently on some points.  Where the
-scalar form already applies ``**`` or a sum to an array, the batch form does
-the same along the rows.  The scalar forms sum with ``np.add.reduce``, the
-reduction ``.sum()`` runs, without its Python-level wrapper.
-tests/test_testbed.py checks that every batch form matches its scalar form
-bit for bit.
+scalar form applies ``**`` or a sum to an array, the batch form does the
+same along the rows.  F4's two forms use ``np.float_power``: numpy's AVX-512
+``x ** 4`` is 3x slower and an ulp off libm on some points, so it would make
+F4 host-dependent.  The scalar forms sum with ``np.add.reduce`` (``.sum()``
+without its wrapper).  tests/test_testbed.py checks all of this bit for bit.
 
 The Shekel foxholes constants are a module constant built from their
 structure: the 25 well centres are the 5x5 grid over (-32, -16, 0, 16, 32).
@@ -127,18 +127,18 @@ def batch_f3(P) -> np.ndarray:
 def f4_deterministic(p) -> float:
     """Noise-free part of F4: sum_i i * x_i^4."""
     x = np.asarray(p, dtype=float)
-    return float(np.add.reduce(_F4_COEF * x ** 4))
+    return float(np.add.reduce(_F4_COEF * np.float_power(x, 4)))
 
 
 @vectorises(f4_deterministic)
 def batch_f4_deterministic(P) -> np.ndarray:
-    return (_F4_COEF * P ** 4).sum(axis=1)
+    return (_F4_COEF * np.float_power(P, 4)).sum(axis=1)
 
 
 def eval_f4(p, rng: RngStream) -> float:
     # One fresh Gauss(0,1) per term per evaluation (30 draws each call).
     x = np.asarray(p, dtype=float)
-    return float(np.add.reduce(_F4_COEF * x ** 4 + rng.normal(size=30)))
+    return float(np.add.reduce(_F4_COEF * np.float_power(x, 4) + rng.normal(size=30)))
 
 
 _W = np.array([-32.0, -16.0, 0.0, 16.0, 32.0])

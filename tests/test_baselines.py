@@ -46,10 +46,15 @@ class TestRandomSearch:
 
     def test_rejects_a_box_too_wide_to_draw_from(self):
         # hi - lo overflows to inf; numpy's Generator.uniform refuses it too.
-        obj = Objective("WIDE", 2, BoxDomain(np.full(2, -1e308), np.full(2, 1e308)),
-                        lambda p: 0.0)
-        with np.errstate(over="ignore"), pytest.raises(OverflowError):
-            random_search(obj, 3, RngStream(0))
+        # Warnings are errors here, so this also checks that none comes first.
+        with pytest.raises(OverflowError):
+            random_search(wide_objective(), 3, RngStream(0))
+
+
+def wide_objective():
+    """A 2-D box whose extent hi - lo overflows to inf."""
+    return Objective("WIDE", 2, BoxDomain(np.full(2, -1e308), np.full(2, 1e308)),
+                     lambda p: 0.0)
 
 
 def row_by_row(obj):
@@ -163,6 +168,10 @@ class TestSimulatedAnnealing:
         obj = make_objective("TP1")
         r = simulated_annealing(obj, SaConfig(), RngStream(11, 0))
         assert max(abs(r.best_point[0]), abs(r.best_point[1])) <= 0.1
+
+    def test_rejects_a_box_too_wide_to_draw_from(self):
+        with pytest.raises(OverflowError):
+            simulated_annealing(wide_objective(), SaConfig(), RngStream(0))
 
 
 def nan_first_objective():

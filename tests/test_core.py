@@ -1,4 +1,8 @@
 import ast
+import copy
+import gc
+import pickle
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,10 +15,10 @@ from hypothesis.extra import numpy as hnp
 import sgmopt
 from sgmopt.baselines import random_search
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
-                         Objective, ObjectiveError, RngStream, Sense, SgmConfig,
-                         batch_form, better, contains, counted_eval,
-                         deviation, rank, row_keys, vectorises)
-from sgmopt.engine import solve
+                         Objective, ObjectiveError, RngStream, RunResult, Sense,
+                         SgmConfig, Trace, batch_form, better, contains,
+                         counted_eval, deviation, rank, row_keys, vectorises)
+from sgmopt.engine import default_config, solve
 from sgmopt.testbed import VALID_NAMES, make_objective
 
 
@@ -185,6 +189,9 @@ class TestRngStream:
             np.random.default_rng(0).uniform(lo, hi)
         with pytest.raises(OverflowError):
             RngStream(0).uniform(lo, hi)
+        # A finite box whose span overflows raises without a warning first.
+        with pytest.raises(OverflowError):
+            RngStream(0).uniform(np.full(2, -1e308), np.full(2, 1e308))
 
 
 class TestSgmConfig:
@@ -333,6 +340,13 @@ class TestRowKeys:
 
 def ctx_state(ctx):
     return (ctx.counter.count, dict(ctx._cache), repr(ctx.best_point), ctx.best_value)
+
+
+def exact_state(ctx):
+    """``ctx_state`` by repr, in cache insertion order: it tells -0.0 from
+    0.0, and a NaN equals a NaN."""
+    return (ctx.counter.count, repr(list(ctx._cache.items())), repr(ctx.best_point),
+            repr(ctx.best_value))
 
 
 def row_by_row(obj):
@@ -510,6 +524,57 @@ class TestEvalContextValues:
         assert raised == [] and got == want and len(got) == 62
         assert ctx_state(a) == ctx_state(b)
 
+    def table_objective(self, table):
+        """A 1-D objective on [0, len(table) - 1] whose value at x is
+        ``table[int(x)]``; on the batch path it has a batch form."""
+        table = np.array(table, dtype=float)
+
+        def rows(P):
+            return table[P[:, 0].astype(int)]
+
+        def fn(p):
+            return float(rows(p[None])[0])
+
+        vectorises(fn)(rows)
+        return Objective("TABLE", 1, BoxDomain(np.zeros(1), np.full(1, len(table) - 1.0)),
+                         fn if self.path == "batch" else (lambda p: fn(p)))
+
+    @pytest.mark.parametrize("paid, incumbent, best", [
+        ([np.nan, np.inf], None, "inf"),                # NaN before +inf
+        ([np.nan, np.inf], 5.0, "5.0"),
+        ([1.0, -0.0, 2.0, 0.0], None, "-0.0"),          # a tie at the minimum: the first row wins
+        ([1.0, 0.0, 2.0, -0.0], 0.5, "0.0"),
+        ([np.nan, np.nan, np.nan], None, "nan"),        # all NaN: row 0
+        ([np.nan, np.nan, np.nan], np.nan, "nan"),
+        ([3.0, np.nan, 2.0, 2.0], np.nan, "2.0"),       # an incumbent that is already NaN
+        ([np.nan, 7.0, -np.inf, -np.inf], np.nan, "-inf"),
+    ])
+    def test_commit_ranks_like_the_row_walk(self, paid, incumbent, best):
+        """Best point and value, cache (in insertion order) and counter match
+        the row walk's, signed zeros and NaN included; the incumbent comes
+        from the table's last entry."""
+        obj = self.table_objective(paid + [0.0 if incumbent is None else incumbent])
+        P = np.arange(float(len(paid)))[:, None]
+        warm = None if incumbent is None else np.array([float(len(paid))])
+        (a, b), got, want, raised = self.run_both(obj, P, 100, warm=warm)
+        assert raised == [] and repr(got) == repr(want)
+        assert exact_state(a) == exact_state(b)
+        assert repr(a.best_value) == best
+
+    def test_walk_commits_nothing_past_its_first_winner(self):
+        # Rows 0-39 are NaN or above ``beat``, row 40 is the first below it,
+        # and the lower rows after it are evaluated by the batch form but
+        # never committed.
+        values = np.linspace(90.0, 50.0, 80)
+        values[[3, 17]] = np.nan
+        values[40], values[55], values[70:] = 10.0, -0.0, -5.0
+        obj = self.table_objective(values)
+        P = np.arange(80.0)[:, None]
+        (a, b), got, want, raised = self.run_both(obj, P, 100, beat=40.0)
+        assert raised == [] and repr(got) == repr(want) and len(got) == 41
+        assert exact_state(a) == exact_state(b)
+        assert a.best_value == 10.0 and a.counter.count == len(a._cache) == 41
+
     def test_sign_is_exact(self):
         """``value``, ``values`` (with and without ``beat``, 70 rows
         reaching the batch path) and ``gradient`` return f under MIN and
@@ -654,6 +719,84 @@ class TestDeviation:
 
     def test_unknown_optimum(self):
         assert deviation((1.0,), None) == (None, None)
+
+
+class TestTrace:
+    """``RunResult.trace`` is a read-only Trace that reads like its rows."""
+
+    ROWS = [(0, 4.5, (1.0, -2.0)), (1, 1.5, (0.25, 0.5)), (1, 1.5, (0.25, 0.5)),
+            (7, -3.0, (0.0, 1e-300))]
+    # -0.0 and NaN among the values and the coordinates.
+    SPECIAL = [(0, float("nan"), (-0.0, float("nan"))), (3, -0.0, (0.0, -1e308)),
+               (9, float("-inf"), (5e-324, float("nan")))]
+
+    def test_equals_its_rows_as_a_list(self):
+        t = Trace(self.ROWS)
+        assert t == self.ROWS and self.ROWS == t
+        assert not t != self.ROWS and not self.ROWS != t
+        assert Trace() == [] and [] == Trace() and Trace([]) == Trace()
+        assert t != self.ROWS[:3] and self.ROWS[:3] != t
+        assert t != tuple(self.ROWS)     # as a list would not equal it
+        assert t == Trace(self.ROWS)
+
+    def test_reads_like_a_list(self):
+        t = Trace(self.ROWS)
+        assert len(t) == 4 and len(Trace()) == 0
+        assert list(t) == self.ROWS and t[1:] == self.ROWS[1:]
+        assert t[-1] == self.ROWS[-1] and t[-4] == t[0] == self.ROWS[0]
+        assert t.count(self.ROWS[1]) == 2 and t.count((0, 4.5, (1.0, 2.0))) == 0
+        assert [type(part) for part in t[0]] == [int, float, tuple]
+        assert type(t[0][2][0]) is float
+        with pytest.raises(IndexError):
+            t[4]
+        with pytest.raises(TypeError):
+            t[0] = self.ROWS[1]
+
+    def test_specials_keep_their_repr(self):
+        t = Trace(self.SPECIAL)
+        assert repr(t) == repr(self.SPECIAL)
+        assert [repr(row) for row in t] == [repr(row) for row in self.SPECIAL]
+        assert repr(t[-3]) == repr(self.SPECIAL[0])
+
+    def test_result_trace_is_a_trace(self):
+        r = solve(make_objective("F2"), SgmConfig(seed=1, eval_budget=300))
+        assert isinstance(r.trace, Trace) and len(r.trace) > 1
+        row = (0, r.trace[-1][1] + 1.0, r.best_point)
+        longer = r.trace + [row]
+        assert type(longer) is list and longer == list(r.trace) + [row]
+        again = replace(r, trace=longer)
+        assert isinstance(again.trace, Trace) and again.trace == longer
+        assert repr(again) == repr(replace(r, trace=Trace(longer)))
+        assert again.without_wallclock()[-1] == tuple(longer)
+        assert RunResult((0.0,), 0.0, 0, 0, None).trace == []
+
+    @pytest.mark.parametrize("copy_fn", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies(self, copy_fn):
+        t = copy_fn(Trace(self.SPECIAL))
+        assert isinstance(t, Trace) and repr(t) == repr(self.SPECIAL)
+        r = solve(make_objective("BEALE"), SgmConfig(seed=2, eval_budget=400))
+        again = copy_fn(r)
+        assert isinstance(again.trace, Trace)
+        assert repr(again.without_wallclock()) == repr(r.without_wallclock())
+
+
+def test_a_beale_result_keeps_little_memory():
+    """Memory one default BEALE solve keeps, its arguments included.  Its
+    511 trace rows kept as a list of tuples held about 107 KB."""
+    solve(make_objective("BEALE"), default_config("BEALE"))    # imports and lazy state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        obj = make_objective("BEALE")
+        cfg = default_config(obj)
+        kept = (obj, cfg, solve(obj, cfg))
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept[2].trace) == 511
+    assert size < 32 * 1024, size
 
 
 def test_better_is_strict():

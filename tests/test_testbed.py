@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,3 +234,21 @@ def test_batch_form_matches_scalar_bit_for_bit(name):
 
 def test_f4_noisy_fn_has_no_batch_form():
     assert batch_form(make_objective("F4").fn) is None
+
+
+def test_f4_is_built_from_libm_pow():
+    """F4's noise-free part, in both forms, is sum(i * math.pow(x_i, 4)) bit
+    for bit, summed as each form sums.  ``x ** 4`` misses this on some rows
+    where numpy dispatches it to an AVX-512 kernel."""
+    obj = make_objective("F4")
+    P = np.random.default_rng(8).uniform(obj.domain.lo, obj.domain.hi, size=(100_000, 30))
+    terms = np.arange(1, 31, dtype=float) * np.fromiter(
+        map(math.pow, P.ravel().tolist(), itertools.repeat(4.0)), float, P.size).reshape(P.shape)
+    got = testbed.batch_f4_deterministic(P)
+    want = terms.sum(axis=1)
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, f"batch form: {bad.size} rows differ; {simd_report()}"
+    got = np.array([f4_deterministic(p) for p in P])
+    want = np.array([np.add.reduce(t) for t in terms])
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, f"scalar form: {bad.size} rows differ; {simd_report()}"
