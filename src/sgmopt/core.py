@@ -396,9 +396,10 @@ def deviation(best_point, known_optimum) -> tuple:
     return float(np.max(vec)), tuple(float(v) for v in vec)
 
 
-# Walks shorter than this are evaluated row by row: a 2-D sweep (40 rows)
-# often stops within its first few rows, and evaluating ahead of it slowed
-# such solves, while 80-row and longer walks ran faster batched.
+# Walks shorter than this are evaluated row by row: nearly every 2-D sweep
+# (40 rows) holds cached rows and many stop within their first few, and
+# batching them slowed such solves, while 80-row and longer walks ran faster
+# batched.
 WALK_BATCH_MIN = 64
 
 
@@ -475,7 +476,8 @@ class EvalContext:
         except Exception as exc:
             raise ObjectiveError(f"{self.obj.name} raised at {p.tolist()}: {exc!r}") from exc
         self._cache[key] = v
-        if self.best_value is None or better(v, self.best_value):
+        best = self.best_value    # ``better(v, best)``, inlined
+        if best is None or v < best or (best != best and v == v):
             self.best_value = v
             self.best_point = p.copy()
         return v
@@ -491,7 +493,9 @@ class EvalContext:
         With a batch form (see ``vectorises``), one call of it evaluates
         the first occurrence of each cache miss, as many as the budget has
         left; rows it evaluated past the first better one are neither
-        counted nor cached.  A walk (``beat`` given) of fewer than
+        counted nor cached.  When every row is a first miss, as in a sweep
+        that opened a new epoch, the batch is ``P`` itself and its values
+        are the result.  A walk (``beat`` given) of fewer than
         WALK_BATCH_MIN rows, or an objective with no batch form, is
         evaluated row by row instead.  If the batch form raises, every row
         passed to it counts as evaluated, none is cached, and the best point
@@ -507,20 +511,24 @@ class EvalContext:
                     misses[key] = i
             order = list(misses.values())
             rows = order[:self.counter.remaining]
-            vals = []
+            n, short = len(rows), len(rows) < len(order)
+            new = len(misses) == len(keys)    # every row a first miss: P[:n] are the rows
+            V = np.empty(0)
             if rows:
                 try:
-                    V = self.sign * self._batch(P[rows]) + self._noise_offset
-                    vals = V.tolist()
+                    V = self.sign * self._batch(P[:n] if new else P[rows]) + self._noise_offset
                 except Exception as exc:
-                    self.counter.tick(len(rows))
+                    self.counter.tick(n)
                     raise ObjectiveError(
-                        f"{self.obj.name} raised on a batch of {len(rows)} rows: {exc!r}") from exc
-            n, short = len(rows), len(rows) < len(order)
+                        f"{self.obj.name} raised on a batch of {n} rows: {exc!r}") from exc
+            vals = V.tolist()
             stop = order[n] if short else len(keys)    # the first row left unpaid
             if beat is not None:
-                fresh = dict(zip(misses, vals))
-                A = np.array([fresh[k] if k in fresh else cache[k] for k in keys[:stop]])
+                if new:
+                    A = V    # the values of keys[:stop], in row order
+                else:
+                    fresh = dict(zip(misses, vals))
+                    A = np.array([fresh[k] if k in fresh else cache[k] for k in keys[:stop]])
                 wins = np.flatnonzero((A < beat) | ((beat != beat) & (A == A)))
                 if wins.size:
                     stop, short = int(wins[0]) + 1, False
@@ -534,14 +542,16 @@ class EvalContext:
                     self.best_value = vals[j]
                     self.best_point = P[rows[j]].copy()
             if not short:    # else the walk below reads the paid rows and raises at the next
-                return list(map(cache.__getitem__, keys[:stop]))
+                return vals[:stop] if new else list(map(cache.__getitem__, keys[:stop]))
         walked = []
+        get, value = cache.get, self.value
         try:
             for p, key in zip(P, keys):
-                hit = cache.get(key)
-                v = hit if hit is not None else self.value(p, key)
+                v = get(key)
+                if v is None:
+                    v = value(p, key)
                 walked.append(v)
-                if beat is not None and better(v, beat):
+                if beat is not None and (v < beat or (beat != beat and v == v)):
                     break
         except BudgetExceeded as exc:
             exc.settled = walked

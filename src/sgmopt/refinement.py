@@ -9,6 +9,11 @@ sweep lengths quantize the reachable points and stall at a lattice distance
 from optima that do not sit on the grid.  The scale stops halving at
 SCALE_MIN, which (together with the stall rule and the evaluation budget)
 bounds every run.
+
+As in a pattern search poll set, a sweep's candidates are s plus fixed
+offsets times the mesh scale.  The offsets are built once per run, kept on
+its ``RefineState``, and rebuilt only when the sweep directions change
+(above MOORE_FULL_MAX_DIM, when the diagonal toward the center flips).
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ class RefineState:
     rotations_used: int = 0
     crossovers_used: int = 0
     scale: float = 1.0
+    # (key, ray offsets, rotation offsets) of the last sweep; see ``sweep``.
+    tables: Optional[tuple] = None
 
 
 def select_best_vertex(outcome: Phase1Outcome):
@@ -89,19 +96,26 @@ def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
     direction in turn at 1x..10x alpha_base, then, only if no ray improves,
     rotations at each beta over every direction but the last, both lengths
     times the mesh scale.  Each rotation walked, cache hits included,
-    counts toward trm_max; a budget stop leaves ``rotations_used`` as is."""
-    dirs = np.asarray(directions, dtype=float)
-    alphas = np.arange(1, 11) * config.alpha_base * state.scale
-    rays = ray_mutate(state.s, np.repeat(dirs, 10, axis=0),
-                      np.tile(alphas, len(dirs))[:, None])
-    found, _ = _first_better(ctx, rays, state.s_value)
+    counts toward trm_max; a budget stop leaves ``rotations_used`` as is.
+
+    The offsets ``(k*alpha_base)*d`` and ``beta*d`` are built at scale 1
+    and kept on ``state`` until the directions, ``alpha_base`` or
+    ``beta_sweep`` change.  A candidate is ``s + offset*scale``, bit for bit
+    ``s + (k*alpha_base*scale)*d``: d is +-1 and rounding is sign-symmetric."""
+    key = (tuple(directions), config.alpha_base, tuple(config.beta_sweep))
+    if state.tables is None or state.tables[0] != key:
+        dirs = np.asarray(directions, dtype=float)
+        betas = np.asarray(config.beta_sweep, dtype=float)
+        alphas = np.arange(1, 11) * config.alpha_base
+        rays = np.repeat(dirs, 10, axis=0) * np.tile(alphas, len(dirs))[:, None]
+        rotations = np.tile(dirs[:-1], (len(betas), 1)) * np.repeat(betas, len(dirs) - 1)[:, None]
+        state.tables = (key, rays, rotations)
+    _, rays, rotations = state.tables
+    found, _ = _first_better(ctx, state.s + rays * state.scale, state.s_value)
     left = config.trm_max - state.rotations_used
     if found is not None or left <= 0:
         return found
-    betas = np.asarray(config.beta_sweep, dtype=float) * state.scale
-    rotations = ray_mutate(state.s, np.tile(dirs[:-1], (len(betas), 1)),
-                           np.repeat(betas, len(dirs) - 1)[:, None])
-    found, walked = _first_better(ctx, rotations, state.s_value, left)
+    found, walked = _first_better(ctx, state.s + rotations * state.scale, state.s_value, left)
     state.rotations_used += walked
     return found
 

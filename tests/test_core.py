@@ -17,7 +17,8 @@ from sgmopt.baselines import random_search
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, ObjectiveError, RngStream, RunResult, Sense,
                          SgmConfig, Trace, batch_form, better, contains,
-                         counted_eval, deviation, rank, row_keys, vectorises)
+                         WALK_BATCH_MIN, counted_eval, deviation, rank, row_keys,
+                         vectorises)
 from sgmopt.engine import default_config, solve
 from sgmopt.testbed import VALID_NAMES, make_objective
 
@@ -574,6 +575,91 @@ class TestEvalContextValues:
         assert raised == [] and repr(got) == repr(want) and len(got) == 41
         assert exact_state(a) == exact_state(b)
         assert a.best_value == 10.0 and a.counter.count == len(a._cache) == 41
+
+    def run_settled(self, obj, P, budget, beat=None, warm=None, epochs=0):
+        """``values(P, beat=beat)`` on one context and the ``value`` calls it
+        stands for on another, each as (outcome, ``exact_state``): the
+        outcome is the returned list, or the ``settled`` values of the
+        BudgetExceeded raised."""
+        runs = []
+        for batched in (True, False):
+            ctx = EvalContext(obj, EvalCounter(budget), RngStream(5), Sense.MIN)
+            for _ in range(epochs):
+                ctx.new_epoch()
+            if warm is not None:
+                ctx.value(warm)
+            walked = []
+            try:
+                if batched:
+                    walked = ctx.values(P, beat=beat)
+                else:
+                    for p in P:
+                        walked.append(ctx.value(p))
+                        if beat is not None and better(walked[-1], beat):
+                            break
+                out = ("returned", walked)
+            except BudgetExceeded as exc:
+                out = ("settled", exc.settled if batched else walked)
+            runs.append((repr(out), exact_state(ctx)))
+        return runs
+
+    @staticmethod
+    def all_new_walk():
+        """80 values over rows 0..79 of a 1-D table (row 0 at -0.0), none
+        repeated: NaN at rows 3 and 17, -0.0 at row 55, the first value
+        below 40 at row 40, lower ones after it; entry 80 is for warming
+        the cache with a point off the walk."""
+        values = np.linspace(90.0, 50.0, 81)
+        values[[3, 17]] = np.nan
+        values[40], values[55], values[70:80] = 10.0, -0.0, -5.0
+        P = np.arange(80.0)[:, None]
+        P[0] = -0.0
+        assert len(set(row_keys(P))) == len(P) >= WALK_BATCH_MIN
+        return values, P
+
+    @pytest.mark.parametrize("beat", [None, 40.0])
+    @pytest.mark.parametrize("budget", ["none left", "mid-batch", "exact", "one short", "ample"])
+    def test_all_new_batch_matches_row_walk(self, beat, budget):
+        """Every row a first miss: the list returned or settled, counter,
+        cache in insertion order and best point match the row walk's."""
+        values, P = self.all_new_walk()
+        obj = self.table_objective(values)
+        paid = 80 if beat is None else 41
+        budget = {"none left": 1, "mid-batch": 31, "exact": 1 + paid,
+                  "one short": paid, "ample": 1000}[budget]
+        (a, ctx_a), (b, ctx_b) = self.run_settled(obj, P, budget, beat=beat, warm=np.array([80.0]))
+        assert a == b and ctx_a == ctx_b
+        assert a.startswith("('settled'") == (budget <= paid)
+
+    @pytest.mark.parametrize("beat", [None, 40.0])
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_empty_walk_returns_nothing(self, beat, budget):
+        obj = self.table_objective([1.0, 2.0])
+        runs = self.run_settled(obj, np.empty((0, 1)), budget, beat=beat, warm=np.array([1.0]))
+        assert runs[0] == runs[1] and runs[0][0] == "('returned', [])"
+
+    @pytest.mark.parametrize("beat", [100.0, float("nan")])
+    def test_all_new_first_row_wins(self, beat):
+        """Row 0 (at -0.0) wins; the best point keeps its sign."""
+        values, P = self.all_new_walk()
+        runs = self.run_settled(self.table_objective(values), P, 100, beat=beat)
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "('returned', [90.0])" and runs[0][1][2] == "array([-0.])"
+
+    @pytest.mark.parametrize("budget", [3, 20, 21, 100])
+    def test_all_new_stochastic_epoch(self, budget):
+        """In epoch 2, with and without ``beat``; ``beat`` lies between the
+        two lowest noise-free values, so row 20, the lowest, wins."""
+        obj = objective("F4", self.path)
+        P = np.random.default_rng(10).uniform(-1.28, 1.28, size=(80, 30))
+        ref = EvalContext(obj, EvalCounter(1), RngStream(5), Sense.MIN)
+        ref.new_epoch()
+        ref.new_epoch()
+        beat = ref._noise_offset + float(np.sort([obj.noise_free_fn(p) for p in P])[1])
+        for b, paid in ((None, 80), (beat, 21)):
+            runs = self.run_settled(obj, P, budget, beat=b, epochs=2)
+            assert runs[0] == runs[1]
+            assert runs[0][1][0] == min(budget, paid)
 
     def test_sign_is_exact(self):
         """``value``, ``values`` (with and without ``beat``, 70 rows

@@ -389,6 +389,92 @@ class TestSweepsMatchReference:
                          ("rot", "cap"), ("rot", "cap with hits")}
 
 
+def swept_candidates(state, config, dirs):
+    """The candidate batches ``sweep`` builds from ``state`` (rays, then
+    rotations), as bytes, read through a context that walks none of them."""
+    n = len(state.s)
+    obj = Objective(name="WIDE", dim=n, domain=BoxDomain(np.full(n, -1e3), np.full(n, 1e3)),
+                    fn=lambda p: 0.0)
+    ctx = make_ctx(obj)
+    seen = []
+    ctx.values = lambda P, beat=None: seen.append(P.tobytes()) or []
+    assert sweep(state, ctx, config, dirs) is None
+    return seen
+
+
+def old_candidates(s, config, scale, dirs):
+    """The ray and rotation batches, as bytes, as built before the offsets
+    were kept: the lengths scaled first, then multiplied into the directions."""
+    d = np.asarray(dirs, dtype=float)
+    a = config.alpha_base
+    betas = np.asarray(config.beta_sweep, dtype=float) * scale
+    return [ray_mutate(s, np.repeat(d, 10, 0),
+                       np.tile(np.arange(1, 11) * a * scale, len(d))[:, None]).tobytes(),
+            ray_mutate(s, np.tile(d[:-1], (len(betas), 1)),
+                       np.repeat(betas, len(d) - 1)[:, None]).tobytes()]
+
+
+class TestSweepTables:
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 30])
+    def test_candidates_match_scaled_lengths_bit_for_bit(self, n):
+        """``s + offset*scale`` equals ``s + (k*alpha_base*scale)*d`` in every
+        bit, signed zeros included, from the origin and from a point off it."""
+        rng = np.random.default_rng(n)
+        for s in (np.zeros(n), rng.uniform(-1.0, 1.0, n)):
+            dirs = sweep_directions(n, s, np.zeros(n))
+            for alpha in (0.1, 1e-3, 1e-300):
+                config = SgmConfig(alpha_base=alpha, trm_max=10_000)    # every rotation
+                for scale in 2.0 ** -np.arange(26):
+                    state = RefineState(s=s, s_value=0.0, scale=scale)
+                    got = swept_candidates(state, config, dirs)
+                    assert got == old_candidates(s, config, scale, dirs), (alpha, scale)
+
+    def test_one_table_per_run_reused_across_scales(self):
+        config, s = SgmConfig(), np.full(3, 0.5)
+        state = RefineState(s=s, s_value=0.0)
+        swept_candidates(state, config, diagonals(3))
+        table = state.tables
+        state.scale = 0.5
+        assert swept_candidates(state, config, diagonals(3)) == old_candidates(
+            s, config, 0.5, diagonals(3))
+        assert state.tables is table
+
+    def fresh_table_case(self, change):
+        """A sweep at n = 7 from a state whose table was built for other
+        directions (the inward diagonal flipped) or another alpha_base,
+        against ``reference_sweep`` on a state that never swept."""
+        n = 7
+        obj, _ = objective_in_box(n, Sense.MIN, "sphere")
+        center = obj.domain.center
+        # Mixed signs: the inward diagonal is none of the other directions.
+        v = 0.5 * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        before, after = center + v, center - v
+        config = SgmConfig(alpha_base=0.05) if change == "alpha" else SgmConfig()
+        first = SgmConfig() if change == "alpha" else config
+        start = before if change == "inward" else after
+        state = RefineState(s=start.copy(), s_value=0.0)
+        sweep(state, make_ctx(obj), first, sweep_directions(n, start, center))
+        old_key, state.rotations_used = state.tables[0], 0
+        dirs = sweep_directions(n, after, center)
+        assert (dirs != sweep_directions(n, before, center)) and len(dirs) == 2 * n + 3
+        runs = []
+        for fn, st in ((sweep, state), (reference_sweep, RefineState(s=after.copy(), s_value=0.0))):
+            ctx = make_ctx(obj)
+            st.s, st.s_value = after.copy(), ctx.value(after)
+            runs.append(sweep_run(fn, ctx, st, config, dirs))
+        assert state.tables[0] != old_key
+        assert state.tables[0] == (tuple(dirs), config.alpha_base, config.beta_sweep)
+        return runs
+
+    def test_inward_flip_rebuilds_the_table(self):
+        runs = self.fresh_table_case("inward")
+        assert runs[0] == runs[1] and runs[0][0] is not None
+
+    def test_alpha_base_change_rebuilds_the_table(self):
+        runs = self.fresh_table_case("alpha")
+        assert runs[0] == runs[1] and runs[0][0] is not None
+
+
 class TestCrossoverMidpoint:
     def test_examples(self):
         assert tuple(crossover_midpoint((2.0, 4.0), (4.0, 2.0))) == (3.0, 3.0)
