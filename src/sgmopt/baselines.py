@@ -69,15 +69,14 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     one draw per point), or of one row for a stochastic objective, whose fn
     shares the rng.  A deterministic objective with a batch form (the test
     bed's) evaluates a block in one call; any other, one draw at a time."""
+    if not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
     # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
     lo, hi = obj.domain.lo[None], obj.domain.hi[None]
-    with np.errstate(over="ignore"):    # an inf span raises below instead
-        span = hi - lo
-    if not np.isfinite(span).all():
-        raise OverflowError("Range exceeds valid bounds")
+    span = hi - lo    # finite: BoxDomain refuses a box whose hi - lo overflows
     batch = None if obj.stochastic else batch_form(obj.fn)
     step = 1 if obj.stochastic else RS_BLOCK
     best_x = None

@@ -80,6 +80,9 @@ class BoxDomain:
             raise ValueError("lo/hi dimension mismatch")
         if not np.all(self.lo < self.hi):
             raise ValueError("domain requires lo < hi on every axis")
+        with np.errstate(over="ignore"):    # an inf extent raises below instead
+            if not np.isfinite(self.extent).all():
+                raise ValueError("domain requires a finite hi - lo on every axis")
 
     @property
     def dim(self) -> int:
@@ -127,19 +130,11 @@ class RngStream:
         return RngStream(*(self.entropy + tuple(int(i) for i in idx)))
 
     def random(self, size=None):
-        return float(self._gen.random()) if size is None else self._gen.random(size)
+        return self._gen.random(size)
 
     def uniform(self, lo, hi, size=None):
-        """``Generator.uniform(lo, hi, size)``, bit for bit, without its
-        broadcasting overhead; ``size=None`` draws one number per element
-        of the broadcast bounds."""
-        with np.errstate(over="ignore"):    # an inf span raises below instead
-            span = np.subtract(hi, lo)
-        if not np.logical_and.reduce(np.isfinite(span), axis=None):
-            raise OverflowError("Range exceeds valid bounds")
-        if size is None:
-            size = np.shape(span) or None
-        return lo + span * self._gen.random(size)
+        with np.errstate(over="ignore"):    # numpy refuses an inf span, with no warning first
+            return self._gen.uniform(lo, hi, size)
 
     def normal(self, size=None):
         return self._gen.standard_normal(size=size)
@@ -155,8 +150,8 @@ class Objective:
     ``fn`` takes a point for deterministic functions and ``(point, rng)``
     for stochastic ones (``stochastic=True``).  ``gradient_fn`` is analytic
     where one exists; ``known_optimum`` is ``(point, value)`` when the
-    minimizer is known (value may itself be a convention for noisy
-    functions, see the test bed).
+    minimizer is known, with a finite point of dimension ``dim`` (value
+    may itself be a convention for noisy functions, see the test bed).
     """
 
     name: str
@@ -175,6 +170,11 @@ class Objective:
             raise ValueError("domain dimension mismatch")
         if self.stochastic and self.noise_free_fn is None:
             raise ValueError("stochastic objectives must supply noise_free_fn")
+        if self.known_optimum is not None:
+            opt = np.asarray(self.known_optimum[0], dtype=float)
+            if opt.shape != (self.dim,) or not np.isfinite(opt).all():
+                raise ValueError(f"{self.name}: known optimum {self.known_optimum[0]!r} "
+                                 f"is not a finite point of dimension {self.dim}")
 
 
 # (fn, batch form) by id(fn).  Holding fn keeps its id from being reused,

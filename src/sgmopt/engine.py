@@ -60,7 +60,7 @@ def solve(obj: Objective, config: SgmConfig, rng: Optional[RngStream] = None,
     try:
         outcome = run_phase1(obj, config, ctx, trace_sink=phase1_sink)
         trace = list(outcome.trace)
-        gens = outcome.rounds_completed
+        gens = len(trace) - 1
         if outcome.vertices and counter.remaining > 0:
             state, p2_gens, p2_trace = run_phase2(
                 outcome, obj, config, ctx,

@@ -134,7 +134,6 @@ class Phase1Outcome:
     cell: GridCell
     vertices: List[LabeledVertex]
     evaluations: int
-    rounds_completed: int
     complete: bool
     trace: list = field(default_factory=list)
 
@@ -350,10 +349,10 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
     Performs tf_rounds subdivisions with a labeling pass before each and one
     final labeling pass over the last children, so grids at levels
     0..tf_rounds all get labeled.  On budget exhaustion the outcome so far
-    is returned with complete=False.
+    is returned with complete=False.  The trace has one row per labeling
+    pass, so ``len(trace) - 1`` rounds were subdivided.
     """
     candidates = [initial_cell(obj.domain)]
-    rounds_done = 0
     start_count = ctx.counter.count
     trace = []
     for r in range(config.tf_rounds + 1):
@@ -377,12 +376,10 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
                 candidates = [selected.child_containing(ctx.best_point)]
         except RefinementLimit:
             break
-        rounds_done = r + 1
     return Phase1Outcome(
         cell=selected,
         vertices=selected_verts,
         evaluations=ctx.counter.count - start_count,
-        rounds_completed=rounds_done,
         complete=complete,
         trace=trace,
     )

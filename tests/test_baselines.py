@@ -44,15 +44,21 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             random_search(make_objective("F1"), 0, RngStream(0))
 
+    def test_rejects_a_non_integer_budget(self):
+        with pytest.raises(ValueError, match="budget must be an integer, got 100.0"):
+            random_search(make_objective("F1"), 100.0, RngStream(0))
+        assert random_search(make_objective("F1"), np.int64(100), RngStream(0)).evaluations == 100
+
     def test_rejects_a_box_too_wide_to_draw_from(self):
-        # hi - lo overflows to inf; numpy's Generator.uniform refuses it too.
+        # The box is refused where it is built, before random search runs.
         # Warnings are errors here, so this also checks that none comes first.
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="finite hi - lo"):
             random_search(wide_objective(), 3, RngStream(0))
 
 
 def wide_objective():
-    """A 2-D box whose extent hi - lo overflows to inf."""
+    """A 2-D objective on a box whose extent hi - lo overflows to inf;
+    building its BoxDomain raises ValueError."""
     return Objective("WIDE", 2, BoxDomain(np.full(2, -1e308), np.full(2, 1e308)),
                      lambda p: 0.0)
 
@@ -170,7 +176,7 @@ class TestSimulatedAnnealing:
         assert max(abs(r.best_point[0]), abs(r.best_point[1])) <= 0.1
 
     def test_rejects_a_box_too_wide_to_draw_from(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="finite hi - lo"):
             simulated_annealing(wide_objective(), SaConfig(), RngStream(0))
 
 

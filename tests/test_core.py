@@ -39,7 +39,9 @@ class TestBoxDomain:
     @pytest.mark.parametrize("lo,hi,message", [
         (np.zeros((1, 2)), np.ones((1, 2)), "point must be 1-D"),
         (np.zeros(2), np.ones(3), "lo/hi dimension mismatch"),
-    ], ids=["not_1d", "dim_mismatch"])
+        # hi - lo overflows to inf; warnings are errors here, so none comes first.
+        (np.full(2, -1e308), np.full(2, 1e308), "finite hi - lo"),
+    ], ids=["not_1d", "dim_mismatch", "extent_overflows"])
     def test_rejects_malformed_bounds(self, lo, hi, message):
         with pytest.raises(ValueError, match=message):
             BoxDomain(lo, hi)
@@ -75,6 +77,15 @@ class TestObjective:
         with pytest.raises(ValueError, match=message):
             Objective(name="Q", dim=dim, domain=box2(-1.0, 1.0), fn=lambda p: 0.0,
                       stochastic=stochastic)
+
+    @pytest.mark.parametrize("point", [(0.3,), (0.3, 0.3), (0.3, np.nan, 0.3),
+                                       ((0.3, 0.3, 0.3),)],
+                             ids=["one_element", "two_elements", "nan", "nested"])
+    def test_rejects_a_known_optimum_off_its_dimension(self, point):
+        box = BoxDomain(np.full(3, -1.0), np.full(3, 1.0))
+        with pytest.raises(ValueError, match="Q: known optimum .* finite point of dimension 3"):
+            Objective(name="Q", dim=3, domain=box, fn=lambda p: 0.0,
+                      known_optimum=(point, 0.0))
 
 
 class TestCountedEval:

@@ -5,7 +5,8 @@ on random boxes and deterministic objectives with plateaus and NaN regions:
 - the best point lies inside the box;
 - ``best_value == f(best_point)``;
 - the trace never gets worse in the sense's direction;
-- no NaN is reported once a finite value has been seen.
+- no NaN is reported once a finite value has been seen;
+- SGM's generation count is the generation of its last trace row.
 
 RS and SA minimise; SGM runs in both senses.
 """
@@ -74,7 +75,9 @@ def test_run_invariants(problem, seed):
     obj, calls, budget, sense = problem
     cfg = SgmConfig(sense=sense, eval_budget=budget, seed=seed,
                     alpha_base=0.05 * float(np.min(obj.domain.extent)))
-    check_run(obj, calls, solve(obj, cfg), budget, sense)
+    result = solve(obj, cfg)
+    check_run(obj, calls, result, budget, sense)
+    assert result.generations == result.trace[-1][0]
     calls.clear()
     check_run(obj, calls, random_search(obj, budget, RngStream(seed)), budget, Sense.MIN)
     calls.clear()

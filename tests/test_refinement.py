@@ -34,13 +34,13 @@ class TestSelectBestVertex:
             vertex((-1.0, 1.0), (0, 2), 2, -17.4),
             vertex((1.0, 1.0), (2, 2), 2, -17.4),
             vertex((0.0, 0.0), (1, 1), 0, -36.0),
-        ], 0, 1, True)
+        ], 0, True)
         p, v = select_best_vertex(out)
         assert tuple(p) == (0.0, 0.0) and v == -36.0
 
     def test_single_vertex(self):
         cell = initial_cell(make_objective("F1").domain)
-        out = Phase1Outcome(cell, [vertex((0.0, 0.0, 0.0), (0, 0, 0), 0, 5.0)], 0, 0, False)
+        out = Phase1Outcome(cell, [vertex((0.0, 0.0, 0.0), (0, 0, 0), 0, 5.0)], 0, False)
         p, _ = select_best_vertex(out)
         assert tuple(p) == (0.0, 0.0, 0.0)
 
@@ -49,7 +49,7 @@ class TestSelectBestVertex:
         out = Phase1Outcome(cell, [
             vertex((1.0, -1.0), (2, 0), 1, -17.4),
             vertex((-1.0, -1.0), (0, 0), 0, -17.4),
-        ], 0, 0, False)
+        ], 0, False)
         p, _ = select_best_vertex(out)
         assert tuple(p) == (-1.0, -1.0)
 
@@ -62,9 +62,9 @@ class TestSelectBestVertex:
         verts = [vertex((1.0, 1.0), (2, 2), 0, nan),
                  vertex((-1.0, 1.0), (0, 2), 0, nan),
                  vertex((1.0, -1.0), (2, 0), 0, sign * -np.inf)]
-        p, v = select_best_vertex(Phase1Outcome(cell, verts, 0, 0, False))
+        p, v = select_best_vertex(Phase1Outcome(cell, verts, 0, False))
         assert tuple(p) == (1.0, -1.0) and v == sign * -np.inf
-        p, v = select_best_vertex(Phase1Outcome(cell, verts[:2], 0, 0, False))
+        p, v = select_best_vertex(Phase1Outcome(cell, verts[:2], 0, False))
         assert tuple(p) == (-1.0, 1.0) and v != v
 
     def test_max_sense(self):
@@ -73,7 +73,7 @@ class TestSelectBestVertex:
         out = Phase1Outcome(cell, [
             vertex((0.0, 0.0), (1, 1), 0, 36.0),
             vertex((1.0, 1.0), (2, 2), 2, 17.4),
-        ], 0, 0, True)
+        ], 0, True)
         p, v = select_best_vertex(out)
         assert tuple(p) == (1.0, 1.0) and v == 17.4
 

@@ -591,7 +591,7 @@ class TestRunPhase1:
         obj = make_objective("TP1", bounds=1.0)
         cfg = SgmConfig(tf_rounds=0)
         out = run_phase1(obj, cfg, make_ctx(obj))
-        assert out.rounds_completed == 0
+        assert len(out.trace) - 1 == 0
         assert out.cell.level == 0
         assert len(out.vertices) == 4
 
@@ -604,7 +604,7 @@ class TestRunPhase1:
         corner_pts = {v.point for v in out.vertices}
         assert (0.0, 0.0) in corner_pts
         assert out.cell.level == 1
-        assert out.rounds_completed == 1
+        assert len(out.trace) - 1 == 1
 
     def test_f1_selected_cell_straddles_origin(self):
         obj = make_objective("F1")
@@ -675,7 +675,6 @@ class TestRunPhase1:
                         fn=lambda p: float((p[0] - 0.3) ** 2))
         cfg = SgmConfig(tf_rounds=45)
         out = run_phase1(obj, cfg, make_ctx(obj))
-        assert out.rounds_completed == 40
         assert out.cell.level == 40
         assert len(out.trace) == 41
         assert out.evaluations == 160
