@@ -14,7 +14,7 @@ import re
 import statistics
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -31,10 +31,6 @@ ALGORITHMS = ("SGM", "RS", "SA")
 # noise-free part instead of the point.
 SUCCESS_TOL = {"default": 1e-2, "F5": 1e-1}
 F4_DETPART_TOL = 1e-2
-
-CSV_TRIAL_HEADER = "function,algorithm,trial,seed,generations,evaluations,best_f,best_x,sd,wallclock_ms"
-CSV_AGGREGATE_HEADER = "function,algorithm,trials,median_best_f,mean_generations,success_rate,png"
-
 
 def _labeling(raw) -> LabelStrategy:
     valid = [s.value for s in LabelStrategy]
@@ -223,6 +219,14 @@ class AggregateRow:
     png: Optional[int]
 
 
+# The report CSVs' columns, in order.  The trial CSV holds every TrialRow
+# field but sd_vector, which only the JSON report holds.
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRow) if f.name != "sd_vector")
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRow))
+CSV_TRIAL_HEADER = ",".join(TRIAL_COLUMNS)
+CSV_AGGREGATE_HEADER = ",".join(AGGREGATE_COLUMNS)
+
+
 @dataclass
 class Report:
     rows: List[TrialRow]
@@ -254,6 +258,8 @@ class _SvgCollector:
 
 
 def _run_single(spec: ExperimentSpec, func: str, alg: str, trial: int):
+    """Run one trial: its report row, and the path of the SVG trace it wrote
+    (a 2-D SGM trial with ``emit_svg`` and ``outputs``), or None."""
     obj = testbed.make_objective(func)
     rng = RngStream(spec.master_seed, trial)
     svg = spec.emit_svg and spec.outputs and alg == "SGM" and obj.dim == 2
@@ -276,7 +282,10 @@ def _run_single(spec: ExperimentSpec, func: str, alg: str, trial: int):
         best_f=result.best_value, best_x=result.best_point,
         sd=result.sd, sd_vector=sd_vec,
         wallclock_ms=result.wallclock_ms if spec.record_timing else 0.0)
-    return row, result, collector
+    if collector is None:
+        return row, None
+    path = Path(spec.outputs) / f"trace_{func}_{alg}_{trial}.svg"
+    return row, str(emit_svg_trace(collector, obj, result, path))
 
 
 def run_experiment(spec: ExperimentSpec) -> Report:
@@ -284,29 +293,26 @@ def run_experiment(spec: ExperimentSpec) -> Report:
 
     Jobs may run concurrently (spec.workers); every trial owns its rng
     stream and counter, and rows are sorted by (function, algorithm, trial),
-    so the report does not depend on scheduling.
+    so the report does not depend on scheduling.  Each trial writes its own
+    SVG trace; the CSV and JSON reports are written once every trial is done.
     """
     spec.validate()
     jobs = [(func, alg, t)
             for func in spec.functions
             for alg in spec.algorithms
             for t in range(spec.trials)]
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        results = dict(zip(jobs, pool.map(lambda job: _run_single(spec, *job), jobs)))
-    rows = sorted((results[job][0] for job in jobs), key=TrialRow.sort_key)
-    aggregates = compute_aggregates(rows)
-    report = Report(rows=rows, aggregates=aggregates,
-                    png_row=dict(zip(baselines.DE_JONG_COLUMNS, png_row())))
-    if spec.outputs:
-        out = Path(spec.outputs)
+    out = Path(spec.outputs) if spec.outputs else None
+    if out:
         out.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        done = list(pool.map(lambda job: _run_single(spec, *job), jobs))
+    rows = sorted((row for row, _ in done), key=TrialRow.sort_key)
+    report = Report(rows=rows, aggregates=compute_aggregates(rows),
+                    png_row=dict(zip(baselines.DE_JONG_COLUMNS, png_row())),
+                    svg_paths=[svg for _, svg in done if svg])
+    if out:
         emit_csv(report, out / "report.csv")
         emit_json(report, out / "report.json")
-        for (func, alg, t), (row, result, collector) in results.items():
-            if collector is not None:
-                path = out / f"trace_{func}_{alg}_{t}.svg"
-                emit_svg_trace(collector, testbed.make_objective(func), result, path)
-                report.svg_paths.append(str(path))
     return report
 
 
@@ -331,10 +337,6 @@ def compute_aggregates(rows: List[TrialRow]) -> List[AggregateRow]:
     return out
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _atomic_write(path: Path, text: str):
     path = Path(path)
     tmp = None
@@ -349,44 +351,43 @@ def _atomic_write(path: Path, text: str):
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def emit_csv(report: Report, path) -> Path:
-    """Write trial rows to ``path`` and aggregates to ``*_aggregate.csv``.
+def _cell(value) -> str:
+    """A CSV cell: floats and each coordinate of a tuple (``best_x``, joined by
+    ``;``) at 17 significant digits, which parse back exactly; None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ";".join(f"{float(c):.17g}" for c in value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
-    best_x is semicolon-separated with 17 significant digits, so parsing the
-    file reproduces the report's floats exactly.
-    """
+
+def emit_csv(report: Report, path) -> Path:
+    """Write trial rows to ``path`` and aggregates to ``*_aggregate.csv``:
+    a header of the column names, then one ``_cell`` per column of each row."""
     path = Path(path)
-    lines = [CSV_TRIAL_HEADER]
-    for r in report.rows:
-        best_x = ";".join(_fmt(c) for c in r.best_x)
-        sd = _fmt(r.sd) if r.sd is not None else ""
-        lines.append(",".join([
-            r.function, r.algorithm, str(r.trial), str(r.seed),
-            str(r.generations), str(r.evaluations), _fmt(r.best_f),
-            best_x, sd, _fmt(r.wallclock_ms)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
     agg_path = path.with_name(path.stem + "_aggregate.csv")
-    lines = [CSV_AGGREGATE_HEADER]
-    for a in report.aggregates:
-        lines.append(",".join([
-            a.function, a.algorithm, str(a.trials), _fmt(a.median_best_f),
-            _fmt(a.mean_generations), _fmt(a.success_rate),
-            str(a.png) if a.png is not None else ""]))
-    _atomic_write(agg_path, "\n".join(lines) + "\n")
+    for dest, columns, rows in ((path, TRIAL_COLUMNS, report.rows),
+                                (agg_path, AGGREGATE_COLUMNS, report.aggregates)):
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(getattr(r, c)) for c in columns) for r in rows]
+        _atomic_write(dest, "\n".join(lines) + "\n")
     return path
 
 
+# Each trial CSV column that is not text -> the converter of its cells.
+_READERS = {
+    "trial": int, "seed": int, "generations": int, "evaluations": int,
+    "best_f": float, "best_x": lambda t: tuple(float(c) for c in t.split(";")),
+    "sd": lambda t: float(t) if t else None, "wallclock_ms": float,
+}
+
+
 def _trial_row(line: str) -> TrialRow:
-    parts, width = line.split(","), CSV_TRIAL_HEADER.count(",") + 1
-    if len(parts) != width:
-        raise ValueError(f"{len(parts)} fields, expected {width}")
-    return TrialRow(
-        function=parts[0], algorithm=parts[1], trial=int(parts[2]),
-        seed=int(parts[3]), generations=int(parts[4]),
-        evaluations=int(parts[5]), best_f=float(parts[6]),
-        best_x=tuple(float(t) for t in parts[7].split(";")),
-        sd=float(parts[8]) if parts[8] else None, sd_vector=None,
-        wallclock_ms=float(parts[9]))
+    parts = line.split(",")
+    if len(parts) != len(TRIAL_COLUMNS):
+        raise ValueError(f"{len(parts)} fields, expected {len(TRIAL_COLUMNS)}")
+    return TrialRow(sd_vector=None, **{
+        col: _READERS.get(col, str)(cell) for col, cell in zip(TRIAL_COLUMNS, parts)})
 
 
 def parse_trial_csv(path) -> List[TrialRow]:

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+# numpy loads its random submodule on first use; load it with this module,
+# so a process's first RngStream does not pay for that import mid-run.
+import numpy.random  # noqa: F401
 
 
 class BudgetExceeded(Exception):
@@ -94,7 +97,7 @@ class BoxDomain:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi    # a normal float halves exactly; no overflow
 
 
 def contains(box: BoxDomain, p) -> bool:

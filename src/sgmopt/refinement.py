@@ -71,14 +71,6 @@ def sweep_directions(n: int, s, center) -> List[tuple]:
     return list(dict.fromkeys(((1,) * n, (-1,) * n, inward) + _axis_flips(n)))
 
 
-def ray_mutate(s, direction, alpha) -> np.ndarray:
-    """Endpoint of the ray from s along a sign vector: every component moves
-    by alpha > 0, so the step has max-norm alpha and Euclidean norm alpha*sqrt(n).
-
-    Broadcasts: (m, n) directions with (m, 1) lengths give m endpoints."""
-    return np.asarray(s, dtype=float) + alpha * np.asarray(direction, dtype=float)
-
-
 def _first_better(ctx: EvalContext, P, s_value: float, limit=None):
     """The first of at most ``limit`` feasible rows of ``P`` strictly better
     than ``s_value``, as (row, value) or None, and the feasible rows walked.
@@ -126,7 +118,7 @@ def crossover_midpoint(p1, p2) -> np.ndarray:
     b = np.asarray(p2, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError("parents must share a dimension")
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b    # as BoxDomain.center: no overflow near the float limit
 
 
 def crossover_adjacent_sides(cell: GridCell, ray_end) -> np.ndarray:
@@ -165,6 +157,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
         return state, 0, trace
     floor_value = ctx.best_value
     floor_point = tuple(float(c) for c in ctx.best_point)
+    center = obj.domain.center
     gens = stall = 0
     done = False
     while not done:
@@ -172,7 +165,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
         try:
             ctx.new_epoch()
             state.s_value = ctx.value(state.s)
-            dirs = sweep_directions(obj.dim, state.s, obj.domain.center)
+            dirs = sweep_directions(obj.dim, state.s, center)
             found = sweep(state, ctx, config, dirs)
             p = found[0] if found else None
             if p is None:

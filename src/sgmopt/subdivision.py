@@ -176,23 +176,25 @@ def neighborhood(V, h, box: BoxDomain, hints=None):
     hint, masked out when that is zero or one of the two full diagonals.
     """
     V = np.asarray(V, dtype=float)
-    Q = V[:, None] + moore_offsets(V.shape[1]) * h
-    if V.shape[1] <= MOORE_FULL_MAX_DIM:
-        S = V[:, :, None] + h[:, None] * (-1.0, 0.0, 1.0)    # V + -h, V + 0.0, V + h: Q's values
-        inside = (S >= box.lo[:, None]) & (S <= box.hi[:, None])
-        mask = inside[:, 0]
-        for j in range(1, V.shape[1]):    # AND over the axes, in offset order
-            mask = (mask[:, :, None] & inside[:, j, None]).reshape(len(V), -1)
-        mid = mask.shape[1] // 2    # the zero offset; np.delete costs more at small k
-        return Q, np.concatenate([mask[:, :mid], mask[:, mid + 1:]], axis=1)
-    if hints is None:
-        return Q, box_mask(box, Q)
-    inward = np.sign(hints - V)
-    Q = np.concatenate([Q, (V + inward * h)[:, None]], axis=1)
-    mask = box_mask(box, Q)
-    # Zero and the two full diagonals are the inward rows of one value.
-    mask[:, -1] &= (inward != inward[:, :1]).any(axis=1)
-    return Q, mask
+    # A row past the float limit is inf: outside the box, so masked out.
+    with np.errstate(over="ignore"):
+        Q = V[:, None] + moore_offsets(V.shape[1]) * h
+        if V.shape[1] <= MOORE_FULL_MAX_DIM:
+            S = V[:, :, None] + h[:, None] * (-1.0, 0.0, 1.0)    # V + -h, V + 0.0, V + h: Q's
+            inside = (S >= box.lo[:, None]) & (S <= box.hi[:, None])
+            mask = inside[:, 0]
+            for j in range(1, V.shape[1]):    # AND over the axes, in offset order
+                mask = (mask[:, :, None] & inside[:, j, None]).reshape(len(V), -1)
+            mid = mask.shape[1] // 2    # the zero offset; np.delete costs more at small k
+            return Q, np.concatenate([mask[:, :mid], mask[:, mid + 1:]], axis=1)
+        if hints is None:
+            return Q, box_mask(box, Q)
+        inward = np.sign(hints - V)
+        Q = np.concatenate([Q, (V + inward * h)[:, None]], axis=1)
+        mask = box_mask(box, Q)
+        # Zero and the two full diagonals are the inward rows of one value.
+        mask[:, -1] &= (inward != inward[:, :1]).any(axis=1)
+        return Q, mask
 
 
 def best_neighbor(ctx: EvalContext, V, h, hints=None):

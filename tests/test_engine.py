@@ -223,6 +223,22 @@ class TestSolve:
         assert info.value.partial is None
         assert isinstance(info.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 7e307), (6e307, 1.7e308),
+                                        (-1.7e308, -6e307), (-1.7e308, 1e300)])
+    def test_box_near_the_float_limit(self, lo, hi, n):
+        """Phase 1's neighbours, the box centre and the crossover midpoints
+        of a box whose extent is finite but near the float limit raise no
+        overflow warning (the suite turns warnings into errors), and the
+        result stays in the box.  The objective is scaled so that its own
+        arithmetic cannot overflow."""
+        target = np.full(n, 0.25 * lo + 0.75 * hi) * 1e-300
+        obj = Objective(name="FAR", dim=n, domain=BoxDomain(np.full(n, lo), np.full(n, hi)),
+                        fn=lambda p: float(np.abs(p * 1e-300 - target).max()))
+        r = solve(obj, SgmConfig(eval_budget=2_000))
+        assert r.evaluations <= 2_000
+        assert all(lo <= c <= hi for c in r.best_point)
+
 
 class TestSolveValidation:
     @staticmethod

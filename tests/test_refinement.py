@@ -6,11 +6,18 @@ import pytest
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          Objective, RngStream, Sense, SgmConfig, better)
 from sgmopt.refinement import (RefineState, crossover_adjacent_sides,
-                               crossover_midpoint, ray_mutate, run_phase2,
+                               crossover_midpoint, run_phase2,
                                select_best_vertex, sweep, sweep_directions)
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, Phase1Outcome,
                                 initial_cell, run_phase1)
 from sgmopt.testbed import make_objective
+
+
+def ray_mutate(s, d, alpha):
+    """Endpoint of the ray from s along the sign vector d at length alpha;
+    (m, n) directions with (m, 1) lengths give m endpoints.  The sweep's
+    candidates are checked against this one expression."""
+    return np.asarray(s, float) + alpha * np.asarray(d, float)
 
 
 def make_ctx(obj, budget=100_000, seed=0, sense=Sense.MIN):
