@@ -463,12 +463,13 @@ class EvalContext:
         """``sign`` times the objective at ``p``, from the cache if it holds ``p``.
 
         ``key`` is ``row_keys(p)``, passed by a caller that has already
-        looked it up and missed, so ``p`` is evaluated at once.  Points
-        that are ``==`` elementwise share one entry (``-0.0`` hits ``0.0``);
-        a NaN point hits only a bit-identical NaN point.
+        looked it up and missed; ``p`` is then evaluated at once, as it is,
+        so it must be the float64 row the key was made from.  Points that
+        are ``==`` elementwise share one entry (``-0.0`` hits ``0.0``); a
+        NaN point hits only a bit-identical NaN point.
         """
-        p = np.asarray(p, dtype=float)
         if key is None:
+            p = np.asarray(p, dtype=float)
             key = (p + 0.0).tobytes()    # row_keys(p), without its view
             hit = self._cache.get(key)
             if hit is not None:

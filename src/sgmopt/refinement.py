@@ -39,7 +39,7 @@ class RefineState:
     rotations_used: int = 0
     crossovers_used: int = 0
     scale: float = 1.0
-    # (key, ray offsets, rotation offsets) of the last sweep; see ``sweep``.
+    # (key, ray offsets, rotation offsets, wide) of the last sweep; see ``sweep``.
     tables: Optional[tuple] = None
 
 
@@ -60,13 +60,18 @@ def _axis_flips(n: int) -> tuple:
     return tuple(d for f in flips for d in (f, tuple(-c for c in f)))
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_vectors(n: int) -> tuple:
+    return tuple(itertools.product((1, -1), repeat=n))
+
+
 def sweep_directions(n: int, s, center) -> List[tuple]:
     """Directions a sweep iterates: up to MOORE_FULL_MAX_DIM, all 2^n sign
     vectors, lexicographic with +1 before -1 (all-ones first); above it,
     the two main diagonals, the diagonal from s toward the domain center
     (+1 on axes where s is centered) and ``_axis_flips(n)``, each once."""
     if n <= MOORE_FULL_MAX_DIM:
-        return list(itertools.product((1, -1), repeat=n))
+        return list(_sign_vectors(n))
     inward = tuple(np.where(np.asarray(center, dtype=float) >= s, 1, -1).tolist())
     return list(dict.fromkeys(((1,) * n, (-1,) * n, inward) + _axis_flips(n)))
 
@@ -75,11 +80,19 @@ def _first_better(ctx: EvalContext, P, s_value: float, limit=None):
     """The first of at most ``limit`` feasible rows of ``P`` strictly better
     than ``s_value``, as (row, value) or None, and the feasible rows walked.
     Rows outside the box cost no evaluation."""
-    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:limit]
-    vals = ctx.values(P[rows], beat=s_value)
+    inside = box_mask(ctx.obj.domain, P)
+    Q = (P if inside.all() else P[inside])[:limit]
+    vals = ctx.values(Q, beat=s_value)
     if vals and better(vals[-1], s_value):
-        return (P[rows[len(vals) - 1]], vals[-1]), len(vals)
+        return (Q[len(vals) - 1], vals[-1]), len(vals)
     return None, len(vals)
+
+
+def _candidates(state: RefineState, offsets, wide: bool) -> np.ndarray:
+    if not wide:
+        return state.s + offsets * state.scale
+    with np.errstate(over="ignore"):
+        return state.s + offsets * state.scale
 
 
 def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
@@ -93,7 +106,9 @@ def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
     The offsets ``(k*alpha_base)*d`` and ``beta*d`` are built at scale 1
     and kept on ``state`` until the directions, ``alpha_base`` or
     ``beta_sweep`` change.  A candidate is ``s + offset*scale``, bit for bit
-    ``s + (k*alpha_base*scale)*d``: d is +-1 and rounding is sign-symmetric."""
+    ``s + (k*alpha_base*scale)*d``: d is +-1 and rounding is sign-symmetric.
+    With s in the box and scale <= 1, a candidate overflows only if the box's
+    largest |bound| plus the largest |offset| does (``wide``), so only then is overflow ignored."""
     key = (tuple(directions), config.alpha_base, tuple(config.beta_sweep))
     if state.tables is None or state.tables[0] != key:
         dirs = np.asarray(directions, dtype=float)
@@ -101,13 +116,15 @@ def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
         alphas = np.arange(1, 11) * config.alpha_base
         rays = np.repeat(dirs, 10, axis=0) * np.tile(alphas, len(dirs))[:, None]
         rotations = np.tile(dirs[:-1], (len(betas), 1)) * np.repeat(betas, len(dirs) - 1)[:, None]
-        state.tables = (key, rays, rotations)
-    _, rays, rotations = state.tables
-    found, _ = _first_better(ctx, state.s + rays * state.scale, state.s_value)
+        edge = float(np.abs((ctx.obj.domain.lo, ctx.obj.domain.hi)).max())
+        reach = float(max(np.abs(rays).max(), np.abs(rotations).max(initial=0.0)))
+        state.tables = (key, rays, rotations, edge + reach == np.inf)
+    _, rays, rotations, wide = state.tables
+    found, _ = _first_better(ctx, _candidates(state, rays, wide), state.s_value)
     left = config.trm_max - state.rotations_used
     if found is not None or left <= 0:
         return found
-    found, walked = _first_better(ctx, state.s + rotations * state.scale, state.s_value, left)
+    found, walked = _first_better(ctx, _candidates(state, rotations, wide), state.s_value, left)
     state.rotations_used += walked
     return found
 
@@ -156,7 +173,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
     if config.trm_max == 0 and config.tc_max == 0:
         return state, 0, trace
     floor_value = ctx.best_value
-    floor_point = tuple(float(c) for c in ctx.best_point)
+    floor_point = tuple(ctx.best_point.tolist())
     center = obj.domain.center
     gens = stall = 0
     done = False
@@ -164,7 +181,8 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
         gens += 1
         try:
             ctx.new_epoch()
-            state.s_value = ctx.value(state.s)
+            if obj.stochastic:    # else s is cached at state.s_value
+                state.s_value = ctx.value(state.s)
             dirs = sweep_directions(obj.dim, state.s, center)
             found = sweep(state, ctx, config, dirs)
             p = found[0] if found else None
@@ -182,7 +200,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
                 improvement = abs(new_v - state.s_value)
                 state.s, state.s_value = np.asarray(new_s, dtype=float), new_v
                 if better(new_v, floor_value):
-                    floor_value, floor_point = new_v, tuple(float(c) for c in state.s)
+                    floor_value, floor_point = new_v, tuple(state.s.tolist())
                 stall = stall + 1 if improvement < config.tolerance else 0
                 done = stall >= STALL_LIMIT
             if trace_sink is not None:

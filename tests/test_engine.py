@@ -239,6 +239,25 @@ class TestSolve:
         assert r.evaluations <= 2_000
         assert all(lo <= c <= hi for c in r.best_point)
 
+    @pytest.mark.parametrize("optimum", [0.0, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("share", [0.0999, 0.05])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 7e307), (6e307, 1.7e308),
+                                        (-1.7e308, -6e307), (-1.7e308, 1e300)])
+    def test_phase2_rays_near_the_float_limit(self, lo, hi, n, share, optimum):
+        """Phase 2 on a box near the float limit, with ``alpha_base`` at
+        ``share`` of the extent so that its longest rays overflow, raises no
+        overflow warning (the suite turns warnings into errors), and the
+        result stays in the box and the budget.  The quadratic's optimum
+        lies ``optimum`` of the half-width above the centre."""
+        centre, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+        target = np.full(n, min(centre + optimum * half, hi) * 1e-300)
+        obj = Objective(name="FAR", dim=n, domain=BoxDomain(np.full(n, lo), np.full(n, hi)),
+                        fn=lambda p: float(np.sum((p * 1e-300 - target) ** 2)))
+        r = solve(obj, SgmConfig(eval_budget=3_000, alpha_base=share * 2 * half, seed=1))
+        assert r.evaluations <= 3_000
+        assert all(lo <= c <= hi for c in r.best_point)
+
 
 class TestSolveValidation:
     @staticmethod

@@ -8,7 +8,9 @@ on random boxes and deterministic objectives with plateaus and NaN regions:
 - no NaN is reported once a finite value has been seen;
 - SGM's generation count is the generation of its last trace row.
 
-RS and SA minimise; SGM runs in both senses.
+RS and SA minimise; SGM runs in both senses.  The problems have n = 1..6,
+where phase 2 sweeps every sign vector, or n = 7..12, where it sweeps the
+diagonals picked for the incumbent (above MOORE_FULL_MAX_DIM).
 """
 
 import math
@@ -26,11 +28,11 @@ FAST_SA = SaConfig(t0=1.0, cooling=0.5, steps_per_temp=4, t_min=1e-4)
 
 
 @st.composite
-def problems(draw):
+def problems(draw, dims=(1, 6), budgets=st.integers(1, 2_000)):
     """(objective, call log, budget, sense): a quadratic around a point of
-    a random box, optionally rounded down to plateaus and NaN wherever the
-    first coordinate lies past a cut."""
-    n = draw(st.integers(1, 6))
+    a random box of a dimension in ``dims``, optionally rounded down to
+    plateaus and NaN wherever the first coordinate lies past a cut."""
+    n = draw(st.integers(*dims))
     lo = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
     hi = lo + np.array(draw(st.lists(st.floats(0.5, 20), min_size=n, max_size=n)))
     optimum = lo + (hi - lo) * np.array(
@@ -48,7 +50,7 @@ def problems(draw):
 
     obj = Objective(name="Q", dim=n, domain=BoxDomain(lo, hi), fn=fn)
     sense = draw(st.sampled_from([Sense.MIN, Sense.MAX]))
-    return obj, calls, draw(st.integers(1, 2_000)), sense
+    return obj, calls, draw(budgets), sense
 
 
 def same(a, b):
@@ -69,11 +71,9 @@ def check_run(obj, calls, result, budget, sense):
     assert same(result.best_value, values[-1])
 
 
-@settings(deadline=None, max_examples=200)
-@given(problems(), st.integers(0, 2**32 - 1))
-def test_run_invariants(problem, seed):
+def check_solvers(problem, seed, tf_rounds=SgmConfig.tf_rounds):
     obj, calls, budget, sense = problem
-    cfg = SgmConfig(sense=sense, eval_budget=budget, seed=seed,
+    cfg = SgmConfig(sense=sense, eval_budget=budget, seed=seed, tf_rounds=tf_rounds,
                     alpha_base=0.05 * float(np.min(obj.domain.extent)))
     result = solve(obj, cfg)
     check_run(obj, calls, result, budget, sense)
@@ -83,3 +83,23 @@ def test_run_invariants(problem, seed):
     calls.clear()
     sa = simulated_annealing(obj, FAST_SA, RngStream(seed))
     check_run(obj, calls, sa, 1 + 14 * FAST_SA.steps_per_temp, Sense.MIN)
+
+
+@settings(deadline=None, max_examples=200)
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_run_invariants(problem, seed):
+    check_solvers(problem, seed)
+
+
+# Half the draws come from 5,000 up: enough for phase 2 after a phase 1 of
+# no rounds at n = 7..10.
+LARGE_BUDGETS = st.integers(1, 10_000) | st.integers(5_000, 10_000)
+
+
+@settings(deadline=None, max_examples=100)
+@given(problems(dims=(7, 12), budgets=LARGE_BUDGETS), st.integers(0, 2**32 - 1),
+       st.integers(0, 1))
+def test_run_invariants_above_the_full_sweep_dimension(problem, seed, tf_rounds):
+    """Phase 1 alone takes all of 10^4 evaluations at n >= 7 with three
+    rounds, and often with one; with none, phase 2 sweeps at n = 7..10."""
+    check_solvers(problem, seed, tf_rounds)

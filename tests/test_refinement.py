@@ -1,11 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sgmopt import engine, refinement
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
-                         Objective, RngStream, Sense, SgmConfig, better)
-from sgmopt.refinement import (RefineState, crossover_adjacent_sides,
+                         Objective, RngStream, Sense, SgmConfig, better, box_mask,
+                         row_keys)
+from sgmopt.engine import default_config, solve
+from sgmopt.refinement import (RefineState, _first_better, crossover_adjacent_sides,
                                crossover_midpoint, run_phase2,
                                select_best_vertex, sweep, sweep_directions)
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, Phase1Outcome,
@@ -129,6 +133,13 @@ class TestDiagonalDirections:
         assert dirs[1] == tuple([-1] * n)
         assert tuple([1] * n) in dirs  # inward from all-negative s is all-ones
         assert len(dirs) == len(set(dirs)) <= 2 * n + 3
+
+    def test_returns_a_fresh_list(self):
+        dirs = sweep_directions(2, np.zeros(2), np.zeros(2))
+        dirs[0] = (0, 0)
+        dirs.append((2, 2))
+        dirs.reverse()
+        assert diagonals(2) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
     def test_matches_reference(self):
         """Same tuples of Python ints in the same order, with s off the
@@ -396,6 +407,63 @@ class TestSweepsMatchReference:
                          ("rot", "cap"), ("rot", "cap with hits")}
 
 
+def gathered_first_better(ctx, P, s_value, limit=None):
+    """``_first_better`` as it was when it gathered the feasible rows of
+    ``P`` by index, whether or not any row was outside the box."""
+    rows = np.flatnonzero(box_mask(ctx.obj.domain, P))[:limit]
+    vals = ctx.values(P[rows], beat=s_value)
+    if vals and better(vals[-1], s_value):
+        return (P[rows[len(vals) - 1]], vals[-1]), len(vals)
+    return None, len(vals)
+
+
+class TestFirstBetter:
+    @staticmethod
+    def walk(first_better, obj, P, s_value, limit, budget):
+        """What one call returns and leaves in a context that has paid for
+        two of the batch's rows beforehand."""
+        ctx = make_ctx(obj, budget=budget)
+        for p in P[[3, 11]]:
+            if box_mask(obj.domain, p):
+                ctx.value(p)
+        try:
+            found, walked = first_better(ctx, P, s_value, limit)
+            out = (None if found is None else (found[0].tobytes(), found[1]), walked)
+        except BudgetExceeded:
+            out = "budget"
+        return (out, ctx.counter.count, list(ctx._cache.items()), repr(ctx.best_point),
+                ctx.best_value)
+
+    @pytest.mark.parametrize("m", [40, 100])    # a row walk and a batch call
+    @pytest.mark.parametrize("outside", ["none", "some", "all"])
+    def test_matches_gathered_rows(self, m, outside):
+        """Same row bytes, value, walked count, evaluation count, cache
+        entries in order and best point, with the objective's batch form and
+        without it, with and without a limit, with a budget that runs out."""
+        f1 = make_objective("F1")
+        rng = np.random.default_rng(m)
+        lo, hi = f1.domain.lo, f1.domain.hi
+        P = rng.uniform(lo, hi, (m, f1.dim))
+        P[7] = P[2]    # a repeat within the batch
+        away = {"none": [], "some": [0, 4, 5, 20, m - 1], "all": list(range(m))}[outside]
+        P[away, 1] = hi[1] + 1.0
+        inner = [f1.fn(p) for p in P[box_mask(f1.domain, P)]]
+        for obj in (f1, replace(f1, fn=lambda p: f1.fn(p))):    # batch form, row walk
+            for s_value in [np.median(inner or [0.0]), -np.inf, np.nan]:
+                for limit in (None, 3, 60):
+                    for budget in (100_000, 10):
+                        runs = [self.walk(fb, obj, P, s_value, limit, budget)
+                                for fb in (_first_better, gathered_first_better)]
+                        assert runs[0] == runs[1], (s_value, limit, budget)
+
+    def test_cases_find_and_miss(self):
+        f1 = make_objective("F1")
+        P = np.random.default_rng(0).uniform(f1.domain.lo, f1.domain.hi, (40, f1.dim))
+        found = self.walk(_first_better, f1, P, np.median([f1.fn(p) for p in P]), None, 100_000)
+        assert found[0][0] is not None and found[0][1] > 1
+        assert self.walk(_first_better, f1, P, -np.inf, None, 100_000)[0] == (None, 40)
+
+
 def swept_candidates(state, config, dirs):
     """The candidate batches ``sweep`` builds from ``state`` (rays, then
     rotations), as bytes, read through a context that walks none of them."""
@@ -591,6 +659,56 @@ class TestRunPhase2:
         out, ctx = outcome_for(obj, tf=8)
         state, _, _ = run_phase2(out, obj, cfg, ctx)
         assert ctx.feasible(state.s)
+
+    @staticmethod
+    def keyless_value_calls(name, monkeypatch):
+        """Phase 2's generation count and its ``EvalContext.value`` calls
+        made without a key (those that key and look up the point
+        themselves) in a default solve of ``name``."""
+        calls, phase2 = [], []
+        value = EvalContext.value
+
+        def counted_value(ctx, p, key=None):
+            if key is None:
+                calls.append(p)
+            return value(ctx, p, key)
+
+        def counted_phase2(*args, **kwargs):
+            calls.clear()    # phase 1's
+            out = run_phase2(*args, **kwargs)
+            phase2.append((out[1], len(calls)))
+            return out
+
+        monkeypatch.setattr(EvalContext, "value", counted_value)
+        monkeypatch.setattr(engine, "run_phase2", counted_phase2)
+        obj = make_objective(name)
+        solve(obj, default_config(obj))
+        return phase2[0]
+
+    def test_deterministic_incumbent_is_not_reread(self, monkeypatch):
+        gens, calls = self.keyless_value_calls("BEALE", monkeypatch)
+        assert gens > 100 and calls == 0
+
+    def test_stochastic_incumbent_is_redrawn_every_generation(self, monkeypatch):
+        gens, calls = self.keyless_value_calls("F4", monkeypatch)
+        assert gens > 1 and calls == gens
+
+    @pytest.mark.parametrize("name", ["TP1", "BEALE", "F1", "F2", "F3", "F5"])
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX])
+    def test_deterministic_incumbent_is_cached_at_its_value(self, name, sense, monkeypatch):
+        """Before every sweep, the cache holds the incumbent at exactly
+        ``state.s_value``, the value a re-read would return."""
+        seen = []
+
+        def checked_sweep(state, ctx, config, directions):
+            cached, v = ctx._cache[row_keys(state.s)], state.s_value
+            seen.append(cached == v or (cached != cached and v != v))
+            return sweep(state, ctx, config, directions)
+
+        monkeypatch.setattr(refinement, "sweep", checked_sweep)
+        obj = make_objective(name)
+        solve(obj, replace(default_config(obj), sense=sense))
+        assert len(seen) > 1 and all(seen)
 
     def test_budget_exhaustion_graceful(self):
         obj = make_objective("BEALE")
