@@ -56,37 +56,61 @@ def rslmga_row() -> tuple:
 
 RS_BLOCK = 512
 
+# The largest value Generator.random returns: (2**53 - 1) / 2**53.
+_U_MAX = 1.0 - 2.0**-53
 
-def _call(obj: Objective, x: np.ndarray, rng: RngStream) -> float:
-    """``obj`` at the one point ``x``; a stochastic objective draws from ``rng``."""
-    return float(obj.fn(x, rng) if obj.stochastic else obj.fn(x))
+
+def _draws_stay_in_box(lo, span, hi) -> bool:
+    """Whether every draw ``lo + span * u`` with ``u`` from
+    ``Generator.random`` lies in [lo, hi] on every axis.
+
+    ``u`` lies in [0, _U_MAX] and IEEE rounding is monotone, so each draw
+    lies in [lo, lo + span * _U_MAX] computed in the same float operations;
+    ``span`` is positive, so only the upper end can leave the box."""
+    return bool(np.all(lo + span * _U_MAX <= hi))
 
 
 def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     """Uniform sampling over the box; returns the best of ``budget`` draws.
 
-    The draws come in blocks of up to RS_BLOCK rows (the same numbers as
-    one draw per point), or of one row for a stochastic objective, whose fn
-    shares the rng.  A deterministic objective with a batch form (the test
-    bed's) evaluates a block in one call; any other, one draw at a time."""
-    if not isinstance(budget, (int, np.integer)):
+    A stochastic objective, whose fn shares the rng, is evaluated one draw
+    at a time.  Otherwise the draws come in blocks of up to RS_BLOCK rows
+    (the same numbers as one draw per point); an objective with a batch
+    form (the test bed's) evaluates a block in one call, any other one
+    draw at a time.  When ``_draws_stay_in_box`` shows that no draw can
+    leave the box, as for every test-bed box, no draw is tested; otherwise
+    each block, or each single draw, is tested against the box."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
-    # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
-    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
+    lo, hi = obj.domain.lo, obj.domain.hi
     span = hi - lo    # finite: BoxDomain refuses a box whose hi - lo overflows
-    batch = None if obj.stochastic else batch_form(obj.fn)
-    step = 1 if obj.stochastic else RS_BLOCK
-    best_x = None
-    best_v = None
+    checked = not _draws_stay_in_box(lo, span, hi)
+    fn = obj.fn
+    best_x = best_v = None
     trace = []
-    for start in range(0, budget, step):
-        X = lo + span * rng.random((min(step, budget - start), obj.dim))
-        if not np.logical_and.reduce((X >= lo) & (X <= hi), axis=None):
+    if obj.stochastic:
+        random, n = rng.random, obj.dim
+        for i in range(budget):
+            x = lo + span * random(n)
+            if checked and not box_mask(obj.domain, x):
+                raise ValueError(f"{obj.name}: draws outside domain")
+            v = float(fn(x, rng))
+            # ``better``, inline.
+            if best_v is None or v < best_v or (best_v != best_v and v == v):
+                best_x, best_v = x, v
+                trace.append((i, v, tuple(x.tolist())))
+        return RunResult.build(obj, best_x, best_v, budget, budget, trace, t0)
+    # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
+    lo, span, hi = lo[None], span[None], hi[None]
+    batch = batch_form(fn)
+    for start in range(0, budget, RS_BLOCK):
+        X = lo + span * rng.random((min(RS_BLOCK, budget - start), obj.dim))
+        if checked and not np.logical_and.reduce((X >= lo) & (X <= hi), axis=None):
             raise ValueError(f"{obj.name}: draws outside domain")
-        vals = [_call(obj, x, rng) for x in X] if batch is None else batch(X).tolist()
+        vals = [float(fn(x)) for x in X] if batch is None else batch(X).tolist()
         # Only values below the best so far can beat it; NaN passes this
         # filter, and ``better`` ranks it worst.
         rows = range(len(X)) if best_v is None else [
@@ -147,7 +171,11 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
     base_sigma = sa.proposal_scale * box.extent
     if not box_mask(box, x):
         raise ValueError(f"{obj.name}: start point {x} outside domain")
-    fx = _call(obj, x, rng)
+    fn, stochastic, n = obj.fn, obj.stochastic, obj.dim
+    normal, random = rng.normal, rng.random
+    maximum, minimum, exp = np.maximum, np.minimum, np.exp
+    lo, hi = box.lo, box.hi
+    fx = float(fn(x, rng) if stochastic else fn(x))
     best_x, best_v = x, fx
     trace = [(0, fx, tuple(float(c) for c in x))]
     temp = sa.t0
@@ -158,12 +186,19 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
             x, fx = best_x, best_v
         sigma = base_sigma * max(np.sqrt(temp / sa.t0), _SA_WIDTH_FLOOR)
         for _ in range(sa.steps_per_temp):
-            # The clamp keeps every proposal in the box.
-            prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo), box.hi)
-            fp = _call(obj, prop, rng)
-            if better(fp, fx) or rng.random() < np.exp(-(fp - fx) / temp):
+            # x + z * sigma, built in the fresh array z (x and best_x may
+            # alias earlier proposals, never this one); the clamp keeps every
+            # proposal in the box.
+            prop = normal(n)
+            prop *= sigma
+            prop += x
+            maximum(prop, lo, out=prop)
+            minimum(prop, hi, out=prop)
+            fp = float(fn(prop, rng) if stochastic else fn(prop))
+            # ``better``, inline, in both tests.
+            if fp < fx or (fx != fx and fp == fp) or random() < exp(-(fp - fx) / temp):
                 x, fx = prop, fp
-            if better(fp, best_v):
+            if fp < best_v or (best_v != best_v and fp == fp):
                 best_x, best_v = prop, fp
                 trace.append((stage, fp, tuple(float(c) for c in prop)))
         temp *= sa.cooling

@@ -262,10 +262,11 @@ def rank(value: float) -> tuple:
 
 def require_integers(config, *names: str) -> None:
     """Raise ValueError naming the first field in ``names`` whose value on
-    ``config`` is not an integer; numpy integers count as integers."""
+    ``config`` is not an integer; numpy integers count as integers, and a
+    bool, though a Python int, does not."""
     for name in names:
         value = getattr(config, name)
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -1,12 +1,15 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sgmopt.baselines import (DE_JONG_COLUMNS, RS_BLOCK, SaConfig, de_row, random_search,
-                              reference_table, rslmga_row, simulated_annealing)
-from sgmopt.core import BoxDomain, Objective, RngStream, batch_form, vectorises
-from sgmopt.testbed import make_objective
+from sgmopt import baselines
+from sgmopt.baselines import (DE_JONG_COLUMNS, RS_BLOCK, SaConfig, _draws_stay_in_box, de_row,
+                              random_search, reference_table, rslmga_row, simulated_annealing)
+from sgmopt.core import (BoxDomain, Objective, RngStream, RunResult, batch_form, better,
+                         box_mask, vectorises)
+from sgmopt.testbed import VALID_NAMES, make_objective
 
 
 class TestRandomSearch:
@@ -45,8 +48,10 @@ class TestRandomSearch:
             random_search(make_objective("F1"), 0, RngStream(0))
 
     def test_rejects_a_non_integer_budget(self):
-        with pytest.raises(ValueError, match="budget must be an integer, got 100.0"):
-            random_search(make_objective("F1"), 100.0, RngStream(0))
+        # A bool is a Python int, but not a budget.
+        for budget in (100.0, True, False):
+            with pytest.raises(ValueError, match=f"^budget must be an integer, got {budget!r}$"):
+                random_search(make_objective("F1"), budget, RngStream(0))
         assert random_search(make_objective("F1"), np.int64(100), RngStream(0)).evaluations == 100
 
     def test_rejects_a_box_too_wide_to_draw_from(self):
@@ -104,6 +109,125 @@ def test_batched_random_search_ranks_nan_worst(seed):
     assert np.isfinite(got.best_value)
 
 
+# Random search's boxes: the test bed's, one 1e-12 wide, one whose extent is
+# near the float limit, and one whose bounds are not symmetric about 0.
+RS_BOXES = {
+    **{name: make_objective(name).domain for name in VALID_NAMES},
+    "narrow": BoxDomain(np.full(2, 0.3), np.full(2, 0.3 + 1e-12)),
+    "near_limit": BoxDomain(np.full(2, -1e308), np.full(2, 7e307)),
+    "skewed": BoxDomain(np.array([-5.12, -2.048]), np.array([1.28, 0.7])),
+}
+RS_PATHS = ("batch", "row_by_row", "stochastic")
+
+
+def recording_objective(box: BoxDomain, path: str):
+    """(objective, calls): a max-norm objective on ``box`` that random search
+    evaluates by ``path``, and the list of (argument, copy taken at the
+    call) for each call of its fn or batch form."""
+    calls = []
+
+    def fn(p, *rng):
+        calls.append((p, p.copy()))
+        return float(np.max(np.abs(p))) + (rng[0].random() if rng else 0.0)
+
+    @vectorises(fn)
+    def rows(P):
+        calls.append((P, P.copy()))
+        return np.max(np.abs(P), axis=1)
+    obj = Objective("RECORDING", box.dim, box, fn if path == "batch" else lambda p: fn(p))
+    if path == "stochastic":
+        obj = replace(obj, fn=fn, stochastic=True, noise_free_fn=lambda p: fn(p))
+    return obj, calls
+
+
+def draws_tested(monkeypatch):
+    """Make random search test every draw, as for a box where the bound of
+    ``_draws_stay_in_box`` fails."""
+    monkeypatch.setattr(baselines, "_draws_stay_in_box", lambda lo, span, hi: False)
+
+
+class TestRandomSearchDraws:
+    @pytest.mark.parametrize("box", sorted(RS_BOXES))
+    def test_no_draw_can_leave_the_box(self, box):
+        lo, hi = RS_BOXES[box].lo, RS_BOXES[box].hi
+        assert _draws_stay_in_box(lo, hi - lo, hi)
+
+    def test_a_span_one_ulp_too_wide_is_tested(self):
+        box = RS_BOXES["skewed"]
+        lo, hi = box.lo, box.hi
+        span = np.nextafter(hi - lo, np.inf)
+        assert not _draws_stay_in_box(lo, span, hi)
+        # The largest value Generator.random returns would put that draw
+        # outside the box on both axes.
+        u = np.nextafter(1.0, 0.0)
+        assert (lo + span * u > hi).all()
+        assert (lo + (hi - lo) * u <= hi).all()
+
+    @pytest.mark.parametrize("tested", [False, True], ids=["bound", "tested"])
+    @pytest.mark.parametrize("path", RS_PATHS)
+    @pytest.mark.parametrize("box", sorted(RS_BOXES))
+    def test_every_draw_lies_in_the_box_and_is_never_written(self, box, path, tested,
+                                                            monkeypatch):
+        if tested:
+            draws_tested(monkeypatch)
+        obj, calls = recording_objective(RS_BOXES[box], path)
+        r = random_search(obj, 2 * RS_BLOCK + 7, RngStream(5, 1))
+        P = np.concatenate([np.atleast_2d(p) for p, _ in calls])
+        assert len(P) == r.evaluations
+        assert box_mask(obj.domain, P).all()
+        assert all(p.tobytes() == copy.tobytes() for p, copy in calls)
+        assert len(calls) == (3 if path == "batch" else r.evaluations)
+
+    @pytest.mark.parametrize("path", RS_PATHS)
+    def test_a_tested_draw_outside_the_box_is_refused(self, path, monkeypatch):
+        draws_tested(monkeypatch)
+
+        class Overshoot(RngStream):
+            def random(self, size=None):
+                return 2.0 * super().random(size)
+        obj, _ = recording_objective(RS_BOXES["F1"], path)
+        with pytest.raises(ValueError, match="^RECORDING: draws outside domain$"):
+            random_search(obj, 2 * RS_BLOCK, Overshoot(0))
+
+
+def noisy(p, rng):
+    """A quadratic whose noise grows with |x_n|, NaN where x_1 > 0."""
+    if p[0] > 0.0:
+        return float("nan")
+    return float(np.sum((p - 0.3) ** 2) + abs(p[-1]) * rng.normal())
+
+
+def per_draw_reference(obj: Objective, budget: int, rng: RngStream) -> RunResult:
+    """Random search on a stochastic objective as it ran before its per-draw
+    loop: one (1, n) block per draw, its row evaluated, ranked by ``better``."""
+    t0 = time.perf_counter()
+    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
+    span = hi - lo
+    best_x = best_v = None
+    trace = []
+    for i in range(budget):
+        X = lo + span * rng.random((1, obj.dim))
+        v = float(obj.fn(X[0], rng))
+        if best_v is None or better(v, best_v):
+            best_x, best_v = X[0], v
+            trace.append((i, v, tuple(float(c) for c in best_x)))
+    return RunResult.build(obj, best_x, best_v, budget, budget, trace, t0)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 300])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_stochastic_random_search_equals_the_per_draw_reference(n, budget):
+    obj = Objective("NOISY", n, BoxDomain(np.full(n, -1.0), np.full(n, 1.0)), noisy,
+                    stochastic=True, noise_free_fn=lambda p: noisy(p, RngStream(0)))
+    nan_first = 0
+    for seed in range(6):
+        got = random_search(obj, budget, RngStream(seed, n))
+        want = per_draw_reference(obj, budget, RngStream(seed, n))
+        assert repr(got.without_wallclock()) == repr(want.without_wallclock())
+        nan_first += np.isnan(want.trace[0][1])
+    assert nan_first    # some run starts at NaN, which any later number beats
+
+
 class TestSimulatedAnnealing:
     def test_best_is_monotone_in_trace(self):
         obj = make_objective("TP1")
@@ -145,7 +269,7 @@ class TestSimulatedAnnealing:
         with pytest.raises(ValueError, match=f"^{message}$"):
             simulated_annealing(make_objective("TP1"), SaConfig(**{field: value}), RngStream(0))
 
-    @pytest.mark.parametrize("value", [np.nan, 2.5, 30.0, "30"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 30.0, "30", True, False])
     def test_rejects_non_integer_steps(self, value):
         message = "^steps_per_temp must be an integer"
         with pytest.raises(ValueError, match=message):
@@ -161,14 +285,16 @@ class TestSimulatedAnnealing:
         fn, seen = obj.fn, []
 
         def recording(p, *rng):
-            seen.append(p)
+            seen.append((p, p.copy()))
             return fn(p, *rng)
         r = simulated_annealing(replace(obj, fn=recording), SaConfig(), RngStream(seed, 3))
-        P = np.array(seen)
+        P = np.array([p for p, _ in seen])
         lo, hi = obj.domain.lo, obj.domain.hi
         assert len(P) == r.evaluations
         assert ((P >= lo) & (P <= hi)).all()
         assert ((P == lo) | (P == hi)).any()  # some proposals were clamped
+        # Proposals are built in place; none is written once evaluated.
+        assert all(p.tobytes() == copy.tobytes() for p, copy in seen)
 
     def test_tp1_converges(self):
         obj = make_objective("TP1")
@@ -199,6 +325,54 @@ def test_nan_first_draw_does_not_stick(run):
     r = run(nan_first_objective())
     assert np.isfinite(r.best_value)
     assert r.best_value == float(np.sum((np.asarray(r.best_point) - 0.3) ** 2))
+
+
+def sa_reference(obj: Objective, sa: SaConfig, rng: RngStream) -> RunResult:
+    """Simulated annealing as it ran before its proposals were built in
+    place: each one a fresh expression, ranked by ``better``."""
+    t0_clock = time.perf_counter()
+    box = obj.domain
+
+    def call(p):
+        return float(obj.fn(p, rng) if obj.stochastic else obj.fn(p))
+    x = rng.uniform(box.lo, box.hi)
+    base_sigma = sa.proposal_scale * box.extent
+    fx = call(x)
+    best_x, best_v = x, fx
+    trace = [(0, fx, tuple(float(c) for c in x))]
+    temp = sa.t0
+    stage = 0
+    while temp > sa.t_min:
+        stage += 1
+        if temp < 0.01 * sa.t0:
+            x, fx = best_x, best_v
+        sigma = base_sigma * max(np.sqrt(temp / sa.t0), 0.02)
+        for _ in range(sa.steps_per_temp):
+            prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo), box.hi)
+            fp = call(prop)
+            if better(fp, fx) or rng.random() < np.exp(-(fp - fx) / temp):
+                x, fx = prop, fp
+            if better(fp, best_v):
+                best_x, best_v = prop, fp
+                trace.append((stage, fp, tuple(float(c) for c in prop)))
+        temp *= sa.cooling
+    return RunResult.build(obj, best_x, best_v, 1 + stage * sa.steps_per_temp, stage, trace,
+                           t0_clock)
+
+
+@pytest.mark.parametrize("make", [
+    nan_first_objective,
+    lambda: Objective("HOLEY", 2, BoxDomain(np.full(2, -2.0), np.full(2, 2.0)), holey),
+    lambda: Objective("NOISY", 3, BoxDomain(np.full(3, -1.0), np.full(3, 1.0)), noisy,
+                      stochastic=True, noise_free_fn=lambda p: noisy(p, RngStream(0))),
+], ids=["nan_first", "holey", "noisy"])
+def test_simulated_annealing_equals_the_reference(make):
+    # NaN values exercise the ranking at both of the walk's tests.
+    sa = SaConfig(cooling=0.8, steps_per_temp=7, proposal_scale=0.3)
+    for seed in range(3):
+        got = simulated_annealing(make(), sa, RngStream(seed, 8))
+        want = sa_reference(make(), sa, RngStream(seed, 8))
+        assert repr(got.without_wallclock()) == repr(want.without_wallclock())
 
 
 class TestReferenceTable:

@@ -113,7 +113,7 @@ F5.budget = 30000  # budget, labeling
             ExperimentSpec(functions=("F1",), algorithms=("GA",)).validate()
 
     @pytest.mark.parametrize("field", ["trials", "workers", "rs_budget", "master_seed"])
-    @pytest.mark.parametrize("value", [np.nan, 1.5, 2.0, "2"])
+    @pytest.mark.parametrize("value", [np.nan, 1.5, 2.0, "2", True, False])
     def test_rejects_non_integer_settings(self, field, value):
         spec = ExperimentSpec(functions=("F1",), **{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):

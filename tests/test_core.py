@@ -232,7 +232,7 @@ class TestSgmConfig:
             SgmConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("field", ["tf_rounds", "trm_max", "tc_max", "eval_budget", "seed"])
-    @pytest.mark.parametrize("value", [np.nan, 2.5, 100.0, "3"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 100.0, "3", True, False])
     def test_rejects_non_integer_settings(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SgmConfig(**{field: value}).validate()
