@@ -56,19 +56,6 @@ def rslmga_row() -> tuple:
 
 RS_BLOCK = 512
 
-# The largest value Generator.random returns: (2**53 - 1) / 2**53.
-_U_MAX = 1.0 - 2.0**-53
-
-
-def _draws_stay_in_box(lo, span, hi) -> bool:
-    """Whether every draw ``lo + span * u`` with ``u`` from
-    ``Generator.random`` lies in [lo, hi] on every axis.
-
-    ``u`` lies in [0, _U_MAX] and IEEE rounding is monotone, so each draw
-    lies in [lo, lo + span * _U_MAX] computed in the same float operations;
-    ``span`` is positive, so only the upper end can leave the box."""
-    return bool(np.all(lo + span * _U_MAX <= hi))
-
 
 def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     """Uniform sampling over the box; returns the best of ``budget`` draws.
@@ -77,9 +64,8 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     at a time.  Otherwise the draws come in blocks of up to RS_BLOCK rows
     (the same numbers as one draw per point); an objective with a batch
     form (the test bed's) evaluates a block in one call, any other one
-    draw at a time.  When ``_draws_stay_in_box`` shows that no draw can
-    leave the box, as for every test-bed box, no draw is tested; otherwise
-    each block, or each single draw, is tested against the box."""
+    draw at a time.  No draw is tested against the box: none can leave it
+    (the comment below gives the rounding argument)."""
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
@@ -87,7 +73,14 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     t0 = time.perf_counter()
     lo, hi = obj.domain.lo, obj.domain.hi
     span = hi - lo    # finite: BoxDomain refuses a box whose hi - lo overflows
-    checked = not _draws_stay_in_box(lo, span, hi)
+    # No draw lo + span * u can leave [lo, hi].  Generator.random returns
+    # u in [0, 1 - 2**-53], and BoxDomain admits only finite lo < hi whose
+    # float difference span is finite.  For a normal span, span * u rounds
+    # to at most the float just below span, which lies below the exact
+    # hi - lo even where span was rounded up (by at most half that gap); a
+    # subnormal span is exact.  So lo plus the rounded product is at most
+    # hi, and rounding that sum, being monotone, keeps it at most the float
+    # hi (and at least lo, as the product is >= 0).
     fn = obj.fn
     best_x = best_v = None
     trace = []
@@ -95,21 +88,16 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
         random, n = rng.random, obj.dim
         for i in range(budget):
             x = lo + span * random(n)
-            if checked and not box_mask(obj.domain, x):
-                raise ValueError(f"{obj.name}: draws outside domain")
             v = float(fn(x, rng))
-            # ``better``, inline.
-            if best_v is None or v < best_v or (best_v != best_v and v == v):
+            if best_v is None or better(v, best_v):
                 best_x, best_v = x, v
                 trace.append((i, v, tuple(x.tolist())))
         return RunResult.build(obj, best_x, best_v, budget, budget, trace, t0)
     # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
-    lo, span, hi = lo[None], span[None], hi[None]
+    lo, span = lo[None], span[None]
     batch = batch_form(fn)
     for start in range(0, budget, RS_BLOCK):
         X = lo + span * rng.random((min(RS_BLOCK, budget - start), obj.dim))
-        if checked and not np.logical_and.reduce((X >= lo) & (X <= hi), axis=None):
-            raise ValueError(f"{obj.name}: draws outside domain")
         vals = [float(fn(x)) for x in X] if batch is None else batch(X).tolist()
         # Only values below the best so far can beat it; NaN passes this
         # filter, and ``better`` ranks it worst.
@@ -195,10 +183,9 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
             maximum(prop, lo, out=prop)
             minimum(prop, hi, out=prop)
             fp = float(fn(prop, rng) if stochastic else fn(prop))
-            # ``better``, inline, in both tests.
-            if fp < fx or (fx != fx and fp == fp) or random() < exp(-(fp - fx) / temp):
+            if better(fp, fx) or random() < exp(-(fp - fx) / temp):
                 x, fx = prop, fp
-            if fp < best_v or (best_v != best_v and fp == fp):
+            if better(fp, best_v):
                 best_x, best_v = prop, fp
                 trace.append((stage, fp, tuple(float(c) for c in prop)))
         temp *= sa.cooling
