@@ -77,8 +77,12 @@ class BoxDomain:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_point(self.lo))
-        object.__setattr__(self, "hi", as_point(self.hi))
+        # Read-only copies: the checks below, and random search's proof that
+        # no draw leaves the box, hold only while the bounds cannot change.
+        for name in ("lo", "hi"):
+            bound = as_point(getattr(self, name)).copy()
+            bound.flags.writeable = False
+            object.__setattr__(self, name, bound)
         if self.lo.size != self.hi.size:
             raise ValueError("lo/hi dimension mismatch")
         if not np.all(self.lo < self.hi):

@@ -46,6 +46,14 @@ class TestBoxDomain:
         with pytest.raises(ValueError, match=message):
             BoxDomain(lo, hi)
 
+    def test_bounds_are_read_only_copies(self):
+        lo, hi = np.zeros(2), np.ones(2)
+        b = BoxDomain(lo, hi)
+        lo[0], hi[0] = 5.0, np.inf
+        assert np.array_equal(b.lo, [0.0, 0.0]) and np.array_equal(b.hi, [1.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            b.lo[0] = 5.0
+
     def test_extent_and_center(self):
         b = box2(-4.5, 4.5)
         assert np.array_equal(b.extent, [9.0, 9.0])
