@@ -9,8 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Objective, RngStream, RunResult, batch_form, better, box_mask,
-                   require_integers)
+from .core import Objective, RngStream, RunResult, batch_form, better, require_integers
 # Unused here, but perfbench/trace.py wraps baselines.counted_eval.
 from .core import counted_eval  # noqa: F401
 
@@ -155,10 +154,9 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
     sa.validate()
     t0_clock = time.perf_counter()
     box = obj.domain
+    # lo + (hi - lo) * random(), so in the box by random_search's rounding argument.
     x = rng.uniform(box.lo, box.hi)
     base_sigma = sa.proposal_scale * box.extent
-    if not box_mask(box, x):
-        raise ValueError(f"{obj.name}: start point {x} outside domain")
     fn, stochastic, n = obj.fn, obj.stochastic, obj.dim
     normal, random = rng.normal, rng.random
     maximum, minimum, exp = np.maximum, np.minimum, np.exp

@@ -104,10 +104,8 @@ def _cmd_validate(_args) -> int:
         cfg = SgmConfig()
         ctx = EvalContext(obj, EvalCounter(1000), RngStream(0), Sense.MIN)
         cell = subdivision.initial_cell(obj.domain)
-        got = {}
-        for idx in range(4):
-            v = subdivision.label_vertex(ctx, cell, cell.corner_rel(idx), cfg)
-            got[v.point] = v.label
+        rels = subdivision.corner_plan(2)    # the level-0 cell's base_k is (0, 0)
+        got = {v.point: v.label for v in subdivision.label_vertices(ctx, cell, rels, None, cfg)}
         expect = {(-1.0, 1.0): 2, (1.0, 1.0): 2, (-1.0, -1.0): 0, (1.0, -1.0): 1}
         assert got == expect, f"labels {got} != {expect}"
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import BudgetExceeded, EvalContext, SgmConfig, better, box_mask, rank
-from .subdivision import MOORE_FULL_MAX_DIM, GridCell, Phase1Outcome, index_bits
+from .subdivision import MOORE_FULL_MAX_DIM, GridCell, Phase1Outcome
 
 SCALE_MIN = 2.0 ** -24
 STALL_LIMIT = 3
@@ -141,9 +141,8 @@ def crossover_midpoint(p1, p2) -> np.ndarray:
 def crossover_adjacent_sides(cell: GridCell, ray_end) -> np.ndarray:
     """Midpoints of the n cell edges incident to the corner nearest ray_end,
     as an (n, n) matrix whose row j is the edge along axis j."""
-    idx = cell.closest_corner_index(ray_end)
-    corner = cell.corner(idx)
-    upper = np.array(index_bits(idx, cell.dim), dtype=bool)
+    upper = ray_end > cell.center
+    corner = cell.corner(upper)
     across = corner + np.where(upper, -cell.step, cell.step)
     ends = np.where(np.eye(cell.dim, dtype=bool), across, corner)
     return crossover_midpoint(corner, ends)

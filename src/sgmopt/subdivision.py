@@ -5,7 +5,9 @@ Each vertex gets a label in {0..n} from the sign pattern of a descent
 indicator: either the direction to its best Moore neighbor (one grid step
 finer than the cell) or the objective gradient.  A cell whose corner labels
 cover {0, 1, ..., n} brackets a stationary point, so the round subdivides it
-and continues on the children.
+and continues on the children, or above CORNER_ENUM_MAX_DIM on the one child
+on the best point's side of each split plane.  Labeling evaluates neighbors
+half a step outside the cell, so that point need not lie in the cell.
 
 Exactness: cell steps are represented as initial_extent * 2**(-level), so
 halving never accumulates rounding error, and vertices are reconstructed
@@ -44,10 +46,19 @@ def grid_point(lo: np.ndarray, k, step: np.ndarray) -> np.ndarray:
     return lo + np.asarray(k, dtype=float) * step
 
 
-def index_bits(index: int, n: int) -> list:
-    """Bit j of a corner or child index, for each axis j < n: 1 on the
-    upper side of that axis, 0 on the lower."""
-    return [(index >> j) & 1 for j in range(n)]
+@functools.lru_cache(maxsize=None)
+def corner_plan(n: int) -> np.ndarray:
+    """Read-only (k, n) int64 0/1 rows of the corners phase 1 labels in a
+    cell of dimension n, each holding bit j of its corner index on axis j (1:
+    the upper side): indices 0..2^n-1 up to CORNER_ENUM_MAX_DIM, above it
+    the lowest, the highest and the single-axis flips of each, sorted."""
+    top = 2 ** n - 1
+    index = range(top + 1) if n <= CORNER_ENUM_MAX_DIM else sorted(
+        {0, top} | {f for j in range(n) for f in (1 << j, top ^ (1 << j))})
+    # Python ints: an index of 64 bits or more does not fit an int64.
+    plan = ((np.array(index, dtype=object)[:, None] >> np.arange(n)) & 1).astype(np.int64)
+    plan.flags.writeable = False
+    return plan
 
 
 @dataclass(frozen=True)
@@ -79,46 +90,25 @@ class GridCell:
     def center(self) -> np.ndarray:
         return self.base + 0.5 * self.step
 
-    def corner_rel(self, index: int) -> tuple:
-        return tuple(k + b for k, b in zip(self.base_k, index_bits(index, self.dim)))
-
-    def corner(self, index: int) -> np.ndarray:
-        return grid_point(self.lo, self.corner_rel(index), self.step)
-
-    def corner_indices(self) -> List[int]:
-        """Corner enumeration plan: all 2^n corners, or for high dimensions
-        the structured subset {lowest, highest, single-axis flips of each}."""
-        n = self.dim
-        if n <= CORNER_ENUM_MAX_DIM:
-            return list(range(2 ** n))
-        top = 2 ** n - 1
-        sampled = {0, top}
-        for j in range(n):
-            sampled.add(1 << j)
-            sampled.add(top ^ (1 << j))
-        return sorted(sampled)
-
-    def closest_corner_index(self, p) -> int:
-        """Index of the corner nearest p, per axis; a coordinate on the
-        split plane picks the lower corner (the lexicographically smaller
-        point)."""
-        mid = self.center
-        return sum(1 << j for j in range(self.dim) if p[j] > mid[j])
+    def corner(self, bits) -> np.ndarray:
+        """The corner at ``bits``, a ``corner_plan`` row or ``p > center`` (the one nearest p)."""
+        return grid_point(self.lo, np.add(self.base_k, bits), self.step)
 
     def subdivide(self) -> List["GridCell"]:
-        """The 2^n children obtained by halving every axis, ordered by child
-        corner index (axis j is bit j)."""
-        return [self.child(i) for i in range(2 ** self.dim)]
+        """The children at the ``corner_plan`` rows: up to CORNER_ENUM_MAX_DIM,
+        all 2^n halves, in corner index order."""
+        return self._halves(corner_plan(self.dim))
 
-    def child(self, index: int) -> "GridCell":
+    def child(self, bits) -> "GridCell":
+        """The child at corner ``bits`` (as in ``corner``); ``p > center`` names
+        the child on p's side of each split plane, even for a p outside the cell."""
+        return self._halves([bits])[0]
+
+    def _halves(self, rows) -> List["GridCell"]:
         if self.level >= MAX_LEVEL:
             raise RefinementLimit(f"cell at level {self.level} cannot be halved further")
-        child_k = tuple(2 * k + b for k, b in zip(self.base_k, index_bits(index, self.dim)))
-        return GridCell(self.lo, self.extent, self.level + 1, child_k)
-
-    def child_containing(self, p) -> "GridCell":
-        """The child holding p; points on the split plane go to the lower child."""
-        return self.child(self.closest_corner_index(p))
+        return [GridCell(self.lo, self.extent, self.level + 1, tuple(k))
+                for k in (2 * np.array(self.base_k) + rows).tolist()]
 
 
 @dataclass(frozen=True)
@@ -295,7 +285,7 @@ def label_round(ctx: EvalContext, candidates: List[GridCell], config: SgmConfig)
     grid, n = candidates[0], candidates[0].dim
     hinted = config.labeling is LabelStrategy.BEST_NEIGHBOR and n > MOORE_FULL_MAX_DIM
     width = 1 if config.labeling is LabelStrategy.GRADIENT else 1 + len(moore_offsets(n)) + hinted
-    bits = (np.array(grid.corner_indices())[:, None] >> np.arange(n)) & 1
+    bits = corner_plan(n)
     seen: dict = {}            # row_keys of grid coordinates -> vertex id
     walks = [[] for _ in candidates]    # vertex id of each corner walked
 
@@ -334,7 +324,7 @@ def _select_cell(candidates, labeled):
     the one with the most distinct labels (ties: best vertex ``rank``, then index)."""
     want = set(range(candidates[0].dim + 1))
     for cell, verts in zip(candidates, labeled):
-        if want <= {v.label for v in verts} and len(verts) == len(cell.corner_indices()):
+        if want <= {v.label for v in verts} and len(verts) == len(corner_plan(cell.dim)):
             return cell, verts, True
     started = [i for i, verts in enumerate(labeled) if verts]
     if not started:
@@ -350,9 +340,11 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
 
     Performs tf_rounds subdivisions with a labeling pass before each and one
     final labeling pass over the last children, so grids at levels
-    0..tf_rounds all get labeled.  On budget exhaustion the outcome so far
-    is returned with complete=False.  The trace has one row per labeling
-    pass, so ``len(trace) - 1`` rounds were subdivided.
+    0..tf_rounds all get labeled.  Above CORNER_ENUM_MAX_DIM a subdivision
+    keeps only the child on ``ctx.best_point``'s side of each split plane,
+    wherever that point lies.  On budget exhaustion the outcome so far is
+    returned with complete=False.  The trace has one row per labeling pass,
+    so ``len(trace) - 1`` rounds were subdivided.
     """
     candidates = [initial_cell(obj.domain)]
     start_count = ctx.counter.count
@@ -372,10 +364,8 @@ def run_phase1(obj, config: SgmConfig, ctx: EvalContext,
         if r == config.tf_rounds:
             break
         try:
-            if selected.dim <= CORNER_ENUM_MAX_DIM:
-                candidates = selected.subdivide()
-            else:
-                candidates = [selected.child_containing(ctx.best_point)]
+            candidates = (selected.subdivide() if selected.dim <= CORNER_ENUM_MAX_DIM
+                          else [selected.child(ctx.best_point > selected.center)])
         except RefinementLimit:
             break
     return Phase1Outcome(

@@ -12,7 +12,7 @@ from sgmopt.bench import (ExperimentSpec, emit_csv, png_ratio, run_experiment)
 from sgmopt.core import (EvalContext, EvalCounter, RngStream, Sense, SgmConfig)
 from sgmopt.engine import default_config, solve
 from sgmopt.refinement import crossover_midpoint
-from sgmopt.subdivision import (initial_cell, label_by_direction,
+from sgmopt.subdivision import (corner_plan, initial_cell, label_by_direction,
                                 label_by_gradient, label_vertex)
 from sgmopt.testbed import (f4_deterministic, finite_difference_gradient,
                             make_objective)
@@ -47,18 +47,18 @@ def test_criterion_1_labeling_oracle():
     ctx = EvalContext(obj, EvalCounter(10_000), RngStream(0), Sense.MIN)
     cell = initial_cell(obj.domain)
     for i in range(4):
-        label_vertex(ctx, cell, cell.corner_rel(i), cfg)
+        label_vertex(ctx, cell, cell.base_k + corner_plan(2)[i], cfg)
 
     ctx = EvalContext(obj, EvalCounter(10_000), RngStream(0), Sense.MIN)
     t0 = time.perf_counter()
     labels = {}
     for i in range(4):
-        v = label_vertex(ctx, cell, cell.corner_rel(i), cfg)
+        v = label_vertex(ctx, cell, cell.base_k + corner_plan(2)[i], cfg)
         labels[v.point] = v.label
     complete = len(labels) == 4 and set(labels.values()) == {0, 1, 2}
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     kids = cell.subdivide()
-    introduced = {tuple(k.corner(i)) for k in kids for i in range(4)}
+    introduced = {tuple(k.corner(corner_plan(2)[i])) for k in kids for i in range(4)}
     expected = {(-1.0, 1.0): 2, (1.0, 1.0): 2, (-1.0, -1.0): 0, (1.0, -1.0): 1}
     ok = labels == expected and complete and (0.0, 0.0) in introduced and elapsed_ms < 1.0
     report(1, ok, f"labels={labels} complete={complete} "
@@ -164,7 +164,7 @@ def test_criterion_7_property_suites(tmp_path):
     exact = True
     extent = cell.extent.copy()
     for level in range(1, 41):
-        cell = cell.child(0)
+        cell = cell.child(corner_plan(2)[0])
         exact &= bool(np.array_equal(cell.step, extent * 2.0 ** -level))
     checks["subdivision exactness to level 40"] = exact
 

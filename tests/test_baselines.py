@@ -69,6 +69,20 @@ def wide_objective():
                      lambda p: 0.0)
 
 
+def bowl_on(box):
+    """A 2-D bowl in the box's own units, finite on any BoxDomain."""
+    return Objective("BOWL", 2, box,
+                     lambda p: float((((p - box.lo) / box.extent - 0.5) ** 2).sum()))
+
+
+# Boxes at the edge of what BoxDomain admits: bounds near the float limit,
+# and a box 1e-12 wide.
+EDGE_BOXES = {
+    "NEARLIMIT": lambda: bowl_on(BoxDomain(np.full(2, -1e308), np.full(2, 7e307))),
+    "NARROW": lambda: bowl_on(BoxDomain(np.full(2, 0.3), np.full(2, 0.3 + 1e-12))),
+}
+
+
 def row_by_row(obj):
     """A copy of ``obj`` whose fn wraps the test-bed one, so random search
     evaluates it one draw at a time."""
@@ -254,10 +268,10 @@ class TestSimulatedAnnealing:
             simulated_annealing(make_objective("TP1"), SaConfig(steps_per_temp=value), RngStream(0))
         SaConfig(steps_per_temp=np.int64(30)).validate()
 
-    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5"])
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5", "NEARLIMIT", "NARROW"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_proposal_lies_in_the_box(self, name, seed):
-        obj = make_objective(name)
+        obj = EDGE_BOXES[name]() if name in EDGE_BOXES else make_objective(name)
         fn, seen = obj.fn, []
 
         def recording(p, *rng):

@@ -44,7 +44,8 @@ RS_DIGESTS = {
 
 # Shifted spheres, seed 0, 5,000 evaluations: n=6 labels with the full
 # 728-offset Moore set, n=12 with the capped set plus the center hint, and
-# n=16 also follows child_containing instead of enumerating children.
+# n=16 also descends into the one child on the best point's side of each
+# split plane instead of enumerating children.
 SPHERE_DIGESTS = {
     6: "6ab9d931c378eb67787f6edef88799117baf7b16a272196ec73905e63744c86c",
     12: "23d97e9599472443f62cb24954e00445988abebd080f4e8ce478d2232f6a9fd8",

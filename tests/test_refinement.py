@@ -13,7 +13,7 @@ from sgmopt.refinement import (RefineState, _first_better, crossover_adjacent_si
                                crossover_midpoint, run_phase2,
                                select_best_vertex, sweep, sweep_directions)
 from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, Phase1Outcome,
-                                initial_cell, run_phase1)
+                                corner_plan, initial_cell, run_phase1)
 from sgmopt.testbed import make_objective
 
 
@@ -591,14 +591,14 @@ class TestCrossoverAdjacentSides:
         assert mids == {(0.0, -1.0), (-1.0, 0.0)}
 
     @staticmethod
-    def per_edge_reference(cell, idx):
+    def per_edge_reference(cell, bits):
         """The per-edge loop: midpoint of the corner and its neighbour
         across each axis."""
-        corner = cell.corner(idx)
+        corner = cell.corner(bits)
         mids = []
         for j in range(cell.dim):
             other = corner.copy()
-            if (idx >> j) & 1:
+            if bits[j]:
                 other[j] -= cell.step[j]
             else:
                 other[j] += cell.step[j]
@@ -613,12 +613,26 @@ class TestCrossoverAdjacentSides:
             cells = [initial_cell(box)]
             cells.append(cells[0].subdivide()[int(rng.integers(2 ** n))])
             for cell in cells:
-                for idx in range(2 ** n):
-                    got = crossover_adjacent_sides(cell, cell.corner(idx))
-                    want = self.per_edge_reference(cell, idx)
+                for bits in corner_plan(n):
+                    got = crossover_adjacent_sides(cell, cell.corner(bits))
+                    want = self.per_edge_reference(cell, bits)
                     assert len(got) == n
                     assert [repr(m.tolist()) for m in got] == \
                         [repr(m.tolist()) for m in want]
+
+    def test_ray_end_on_a_split_plane_takes_the_lower_corner(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 7):
+            lo = rng.uniform(-5.0, 0.0, size=n)
+            box = BoxDomain(lo, lo + rng.uniform(0.5, 4.0, size=n))
+            cell = initial_cell(box).subdivide()[int(rng.integers(2 ** n))]
+            for bits in corner_plan(n):
+                on_plane = rng.random(n) < 0.5
+                ray_end = np.where(on_plane, cell.center, cell.corner(bits))
+                got = crossover_adjacent_sides(cell, ray_end)
+                want = self.per_edge_reference(cell, np.where(on_plane, 0, bits))
+                assert [repr(m.tolist()) for m in got] == \
+                    [repr(m.tolist()) for m in want]
 
 
 class TestRunPhase2:

@@ -9,8 +9,9 @@ from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
                          row_keys, vectorises)
 from sgmopt import subdivision
 from sgmopt.engine import default_config, solve
-from sgmopt.subdivision import (MOORE_FULL_MAX_DIM, LabeledVertex, _select_cell,
-                                best_neighbor, grid_point, initial_cell,
+from sgmopt.subdivision import (CORNER_ENUM_MAX_DIM, MAX_LEVEL, MOORE_FULL_MAX_DIM,
+                                LabeledVertex, _select_cell, best_neighbor,
+                                corner_plan, grid_point, initial_cell,
                                 label_by_direction, label_by_gradient, label_round,
                                 label_vertex, moore_offsets, neighborhood, run_phase1)
 from sgmopt.testbed import make_objective
@@ -27,17 +28,17 @@ def box(lo, hi, n=2):
 class TestInitialCell:
     def test_unit_square_corners(self):
         cell = initial_cell(box(-1, 1))
-        corners = {tuple(cell.corner(i)) for i in range(4)}
+        corners = {tuple(cell.corner(bits)) for bits in corner_plan(2)}
         assert corners == {(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)}
 
     def test_3d_corners(self):
         cell = initial_cell(box(-5.12, 5.12, n=3))
         assert 2 ** cell.dim == 8
-        assert len({tuple(cell.corner(i)) for i in range(8)}) == 8
+        assert len({tuple(cell.corner(bits)) for bits in corner_plan(3)}) == 8
 
     def test_1d(self):
         cell = initial_cell(box(0, 1, n=1))
-        assert {tuple(cell.corner(i)) for i in range(2)} == {(0.0,), (1.0,)}
+        assert {tuple(cell.corner(bits)) for bits in corner_plan(1)} == {(0.0,), (1.0,)}
 
 
 def feasible_neighbors(p, h, b, center_hint=None):
@@ -245,8 +246,8 @@ class TestLabelVertex:
         cell = initial_cell(obj.domain)
         cfg = SgmConfig()
         got = {}
-        for i in range(4):
-            v = label_vertex(ctx, cell, cell.corner_rel(i), cfg)
+        for bits in corner_plan(2):
+            v = label_vertex(ctx, cell, cell.base_k + bits, cfg)
             got[v.point] = v.label
         assert got == {(-1.0, 1.0): 2, (1.0, 1.0): 2, (-1.0, -1.0): 0, (1.0, -1.0): 1}
         assert set(got.values()) == {0, 1, 2}
@@ -257,16 +258,16 @@ class TestLabelVertex:
         ctx = make_ctx(obj)
         cell = initial_cell(obj.domain).subdivide()[0].subdivide()[7]
         # cell whose upper corner is the origin
-        idx = 2 ** cell.dim - 1
-        assert tuple(cell.corner(idx)) == (0.0, 0.0, 0.0)
-        v = label_vertex(ctx, cell, cell.corner_rel(idx), cfg)
+        bits = corner_plan(cell.dim)[-1]
+        assert tuple(cell.corner(bits)) == (0.0, 0.0, 0.0)
+        v = label_vertex(ctx, cell, cell.base_k + bits, cfg)
         assert v.label == 0
 
     def test_value_cached(self):
         obj = make_objective("TP1", bounds=1.0)
         ctx = make_ctx(obj)
         cell = initial_cell(obj.domain)
-        v = label_vertex(ctx, cell, cell.corner_rel(0), SgmConfig())
+        v = label_vertex(ctx, cell, cell.base_k + corner_plan(2)[0], SgmConfig())
         assert v.value == obj.fn(np.asarray(v.point))
 
 
@@ -307,8 +308,8 @@ def reference_label_round(ctx, candidates, config):
     labeled = [[] for _ in candidates]
     try:
         for ci, cell in enumerate(candidates):
-            for idx in cell.corner_indices():
-                rel = cell.corner_rel(idx)
+            for bits in corner_plan(cell.dim):
+                rel = tuple((cell.base_k + bits).tolist())
                 vert = label_cache.get(rel)
                 if vert is None:
                     vert = reference_label_vertex(ctx, cell, rel, config)
@@ -347,7 +348,8 @@ def lineage(obj, levels):
     for r in range(1, levels):
         parent = rounds[-1][(5 * r) % len(rounds[-1])]
         n = parent.dim
-        rounds.append(parent.subdivide() if n <= 12 else [parent.child((3 * r) % 2 ** n)])
+        rounds.append(parent.subdivide() if n <= 12
+                      else [parent.child(((3 * r) % 2 ** n >> np.arange(n)) & 1)])
     return rounds
 
 
@@ -478,8 +480,9 @@ def test_phase1_labels_in_few_chunks(monkeypatch, name, most):
 
 
 def labeled_corners(cell, labels, values):
-    return [LabeledVertex(tuple(cell.corner(i)), cell.corner_rel(i), lab, val)
-            for i, (lab, val) in enumerate(zip(labels, values))]
+    return [LabeledVertex(tuple(cell.corner(bits)), tuple((cell.base_k + bits).tolist()),
+                          lab, val)
+            for bits, lab, val in zip(corner_plan(cell.dim), labels, values)]
 
 
 def is_complete(labels, n=2):
@@ -542,13 +545,53 @@ class TestSelectCell:
         assert _select_cell(cells, [[], []]) == (cells[0], [], False)
 
 
+def reference_corner_indices(n):
+    """The integer corner rule ``corner_plan`` replaced: bit j of an index
+    is axis j; above CORNER_ENUM_MAX_DIM, the lowest and highest corners
+    and the single-axis flips of each, sorted."""
+    if n <= CORNER_ENUM_MAX_DIM:
+        return list(range(2 ** n))
+    top = 2 ** n - 1
+    sampled = {0, top}
+    for j in range(n):
+        sampled.add(1 << j)
+        sampled.add(top ^ (1 << j))
+    return sorted(sampled)
+
+
+class TestCornerPlan:
+    # 63..65: corner indices of 64 bits and more do not fit an int64.
+    @pytest.mark.parametrize("n", [*range(1, 15), 63, 64, 65])
+    def test_matches_the_integer_rule(self, n):
+        plan = corner_plan(n)
+        want = [[(i >> j) & 1 for j in range(n)] for i in reference_corner_indices(n)]
+        assert plan.dtype == np.int64
+        assert plan.tolist() == want
+        assert corner_plan(n) is plan
+
+    def test_is_read_only(self):
+        plan = corner_plan(3)
+        with pytest.raises(ValueError):
+            plan[0, 0] = 1
+        assert corner_plan(3)[0].tolist() == [0, 0, 0]
+
+    def test_subdivide_follows_the_plan(self):
+        for n in (2, CORNER_ENUM_MAX_DIM + 1):
+            cell = initial_cell(box(-1, 1, n)).subdivide()[1]
+            kids = cell.subdivide()
+            want = [tuple(2 * k + b for k, b in zip(cell.base_k, bits))
+                    for bits in corner_plan(n).tolist()]
+            assert [k.base_k for k in kids] == want
+            assert all(type(k) is int for kid in kids for k in kid.base_k)
+
+
 class TestSubdivide:
     def test_children_introduce_midpoint(self):
         cell = initial_cell(box(-1, 1))
         kids = cell.subdivide()
         assert len(kids) == 4
         assert all(tuple(k.step) == (1.0, 1.0) for k in kids)
-        corner_pts = {tuple(k.corner(i)) for k in kids for i in range(4)}
+        corner_pts = {tuple(k.corner(bits)) for k in kids for bits in corner_plan(2)}
         assert (0.0, 0.0) in corner_pts
 
     def test_3d_count(self):
@@ -564,20 +607,38 @@ class TestSubdivide:
         cell = initial_cell(BoxDomain(np.array([-1.0, -3.0]), np.array([1.0, 7.0])))
         extent = cell.extent.copy()
         for level in range(1, 41):
-            cell = cell.child(0)
+            cell = cell.child(corner_plan(2)[0])
             assert np.array_equal(cell.step, extent * 2.0 ** -level)
         with pytest.raises(RefinementLimit):
             cell.subdivide()
+
+    def test_child_refuses_past_max_level(self):
+        cell = initial_cell(box(-1, 1))
+        for _ in range(MAX_LEVEL):
+            cell = cell.child(corner_plan(2)[-1])
+        assert cell.level == MAX_LEVEL
+        with pytest.raises(RefinementLimit):
+            cell.child(corner_plan(2)[0])
+
+    def test_child_of_a_point_on_a_split_plane_is_the_lower_one(self):
+        cell = initial_cell(box(-1, 1, n=3)).subdivide()[5]
+        # On axis 0's plane, above axis 1's, below axis 2's.
+        for reach in (0.25, 3.0):    # inside the cell, and beyond it
+            p = cell.center + reach * cell.step * np.array([0.0, 1.0, -1.0])
+            kid = cell.child(p > cell.center)
+            assert (kid.level, kid.base_k) == (cell.level + 1, cell.subdivide()[2].base_k)
+        kid = cell.child(cell.center > cell.center)
+        assert np.array_equal(kid.base, cell.base)
 
     def test_vertex_reconstruction_bitwise(self):
         cell = initial_cell(box(-5.12, 5.12, n=3))
         for _ in range(5):
             cell = cell.subdivide()[3]
         from sgmopt.subdivision import grid_point
-        for i in range(2 ** cell.dim):
-            rel = cell.corner_rel(i)
+        for bits in corner_plan(cell.dim):
+            rel = tuple((cell.base_k + bits).tolist())
             reconstructed = grid_point(cell.lo, rel, cell.step)
-            assert np.array_equal(reconstructed, cell.corner(i))
+            assert np.array_equal(reconstructed, cell.corner(bits))
 
     def test_children_tile_parent(self):
         cell = initial_cell(box(0, 4))
@@ -587,6 +648,13 @@ class TestSubdivide:
 
 
 class TestRunPhase1:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_runs_where_corner_indices_outgrow_int64(self, n):
+        obj = Objective(f"BOWL{n}", n, box(-1, 1, n), lambda p: float(((p - 0.3) ** 2).sum()))
+        out = run_phase1(obj, SgmConfig(tf_rounds=1), make_ctx(obj, budget=40_000))
+        assert out.cell.level == 1 and len(out.trace) == 2
+        assert len(out.vertices) == len(corner_plan(n))
+
     def test_tf0_returns_initial_cell(self):
         obj = make_objective("TP1", bounds=1.0)
         cfg = SgmConfig(tf_rounds=0)
@@ -620,8 +688,8 @@ class TestRunPhase1:
         level0 = initial_cell(obj.domain)
 
         def labels_of(cell, ctx):
-            return [label_vertex(ctx, cell, cell.corner_rel(i), cfg2)
-                    for i in range(2 ** cell.dim)]
+            return [label_vertex(ctx, cell, cell.base_k + bits, cfg2)
+                    for bits in corner_plan(cell.dim)]
 
         def first_complete(cells, ctx):
             all_labeled = [labels_of(c, ctx) for c in cells]
