@@ -6,12 +6,14 @@ Every deterministic function, and F4's noise-free part, has a batch form
 registered with ``core.vectorises`` that evaluates each row of an (m, n)
 array in one call.  Where a scalar form applies ``**`` to a single number,
 its batch form uses ``np.float_power``, which calls the same libm ``pow``;
-``np.power`` and ``x * x`` round differently on some points.  Where the
-scalar form applies ``**`` or a sum to an array, the batch form does the
-same along the rows.  F4's two forms use ``np.float_power``: numpy's AVX-512
-``x ** 4`` is 3x slower and an ulp off libm on some points, so it would make
-F4 host-dependent.  The scalar forms sum with ``np.add.reduce`` (``.sum()``
-without its wrapper).  tests/test_testbed.py checks all of this bit for bit.
+``np.power`` and ``x * x`` round differently on some points.  No power here
+goes through numpy's ``**`` on an array: numpy may send that to an AVX-512
+kernel that is slower and an ulp off libm on some points, so values would
+depend on the host.  F4's and F5's two forms use ``np.float_power`` instead,
+and their values are libm's on every host.  Where the scalar form applies a
+sum to an array, the batch form does the same along the rows.  The scalar
+forms sum with ``np.add.reduce`` (``.sum()`` without its wrapper).
+tests/test_testbed.py checks all of this bit for bit.
 
 The Shekel foxholes constants are a module constant built from their
 structure: the 25 well centres are the 5x5 grid over (-32, -16, 0, 16, 32).
@@ -152,14 +154,16 @@ def foxholes_matrix() -> np.ndarray:
 
 
 def eval_f5(p) -> float:
-    x = np.asarray(p, dtype=float)
-    d = (x[0] - _FOXHOLES[0]) ** 6 + (x[1] - _FOXHOLES[1]) ** 6
-    return float(1.0 / (0.002 + np.add.reduce(1.0 / (_F5_J + d))))
+    # Both axes in one float_power call on the (2, 25) block.
+    t = np.float_power(np.asarray(p, dtype=float)[:, None] - _FOXHOLES, 6)
+    return 1.0 / (0.002 + float(np.add.reduce(1.0 / (_F5_J + (t[0] + t[1])))))
 
 
 @vectorises(eval_f5)
 def batch_f5(P) -> np.ndarray:
-    d = (P[:, :1] - _FOXHOLES[0]) ** 6 + (P[:, 1:] - _FOXHOLES[1]) ** 6
+    # Two calls: one float_power over an (m, 2, 25) block is slower.
+    d = (np.float_power(P[:, :1] - _FOXHOLES[0], 6)
+         + np.float_power(P[:, 1:] - _FOXHOLES[1], 6))
     return 1.0 / (0.002 + (1.0 / (_F5_J + d)).sum(axis=1))
 
 

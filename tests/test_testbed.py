@@ -252,3 +252,25 @@ def test_f4_is_built_from_libm_pow():
     want = np.array([np.add.reduce(t) for t in terms])
     bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
     assert bad.size == 0, f"scalar form: {bad.size} rows differ; {simd_report()}"
+
+
+def test_f5_is_built_from_libm_pow():
+    """F5, in both forms, is built from math.pow(x_i - a_ij, 6) bit for bit,
+    summed as each form sums.  ``** 6`` on an array misses this on some rows
+    where numpy dispatches it to an AVX-512 kernel."""
+    obj = make_objective("F5")
+    P = np.vstack([np.random.default_rng(9).uniform(obj.domain.lo, obj.domain.hi,
+                                                    size=(100_000, 2)),
+                   batch_cases(obj)])
+    diff = (P[:, :, None] - foxholes_matrix()).ravel().tolist()
+    sixth = np.fromiter(map(math.pow, diff, itertools.repeat(6.0)), float,
+                        len(diff)).reshape(len(P), 2, 25)
+    inv = 1.0 / (np.arange(1, 26, dtype=float) + (sixth[:, 0] + sixth[:, 1]))
+    got = testbed.batch_f5(P)
+    want = 1.0 / (0.002 + inv.sum(axis=1))
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, f"batch form: {bad.size} of {len(P)} rows differ; {simd_report()}"
+    got = np.array([eval_f5(p) for p in P])
+    want = np.array([1.0 / (0.002 + float(np.add.reduce(r))) for r in inv])
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, f"scalar form: {bad.size} of {len(P)} rows differ; {simd_report()}"
