@@ -52,6 +52,11 @@ SPHERE_DIGESTS = {
     16: "8451cc06243c2362942b2d450c10f3faaf24d1bd65d048d284110699b3878b5f",
 }
 
+# F5 with 8,101 draws (an experiment trial's budget) from RngStream(5, 0):
+# its best value is 1.021465935143503 with F5's sixth powers from libm pow,
+# and one ulp lower from numpy's AVX-512 ``** 6``.
+RS_F5_DIGEST = "d2d6e76c5a47acb6c72b073295c14abcb58d2f30450381c3db1bda6200ef0dbc"
+
 # 10,000 draws fill 20 of random search's 512-row (RS_BLOCK) blocks, so
 # they cross 19 block boundaries.
 RS_LONG_DIGEST = "288d581b24ad9ad57b79169a5d14c40c978656de1015267d86f932631902c337"
@@ -374,6 +379,11 @@ def test_sgm_budget_out_in_crossover():
 def test_random_search(name):
     r = random_search(make_objective(name), 2000, RngStream(3, 1))
     assert digest(r) == RS_DIGESTS[name]
+
+
+def test_random_search_f5_libm_values():
+    r = random_search(make_objective("F5"), 8101, RngStream(5, 0))
+    assert digest(r) == RS_F5_DIGEST
 
 
 def test_random_search_across_blocks():
