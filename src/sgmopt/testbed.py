@@ -154,7 +154,7 @@ def foxholes_matrix() -> np.ndarray:
 
 
 def eval_f5(p) -> float:
-    # Both axes in one float_power call on the (2, 25) block.
+    # One float_power call for both axes is faster than one per axis.
     t = np.float_power(np.asarray(p, dtype=float)[:, None] - _FOXHOLES, 6)
     return 1.0 / (0.002 + float(np.add.reduce(1.0 / (_F5_J + (t[0] + t[1])))))
 
