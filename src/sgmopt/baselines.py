@@ -114,7 +114,7 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
 class SaConfig:
     """Simulated-annealing settings: initial temperature, geometric cooling
     factor, Metropolis steps per temperature, and the Gaussian proposal
-    scale as a fraction of each axis extent.  Cooling stops at t_min.
+    scale as a fraction of each axis extent.  Cooling stops at fixed t_min.
 
     The proposal width also anneals with sqrt(T/t0) (floored at 2% of the
     base width) so early stages explore the box and late stages resolve
@@ -126,7 +126,7 @@ class SaConfig:
     cooling: float = 0.95
     steps_per_temp: int = 30
     proposal_scale: float = 0.1
-    t_min: float = 1e-5
+    t_min = 1e-5    # unannotated: a class constant, not a field
 
     def validate(self):
         require_integers(self, "steps_per_temp")
@@ -138,8 +138,8 @@ class SaConfig:
             raise ValueError("steps_per_temp must be >= 1")
         if not 0 <= self.proposal_scale < np.inf:
             raise ValueError("proposal_scale must be finite and >= 0")
-        if not 0 < self.t_min < self.t0:
-            raise ValueError("t_min must lie in (0, t0)")
+        if self.t0 <= self.t_min:
+            raise ValueError(f"t0 must exceed t_min = {self.t_min}")
 
 
 _SA_WIDTH_FLOOR = 0.02

@@ -276,13 +276,16 @@ def require_integers(config, *names: str) -> None:
 
 @dataclass
 class SgmConfig:
-    """All SGM tunables.
+    """All SGM tunables; phase 2's fixed lengths and stop rules are refinement's.
 
+    sense          minimise or maximise the objective
     tf_rounds      subdivision rounds in phase 1
     alpha_base     base ray-mutation length (the sweep tries 1x..10x of it)
     trm_max        rotational-mutation candidate cap, per run
     tc_max         crossover invocation cap, per run
-    beta_sweep     rotation step lengths, strictly increasing
+    labeling       how phase 1 labels a vertex
+    eval_budget    objective evaluations allowed, per run
+    seed           root of the run's random stream
     """
 
     sense: Sense = Sense.MIN
@@ -290,10 +293,8 @@ class SgmConfig:
     alpha_base: float = 0.1
     trm_max: int = 50
     tc_max: int = 20
-    beta_sweep: tuple = (0.1, 0.25, 0.5, 0.75, 1.0)
     labeling: LabelStrategy = LabelStrategy.BEST_NEIGHBOR
     eval_budget: int = 10_000
-    tolerance: float = 1e-9
     seed: int = 0
 
     def validate(self, obj: Optional[Objective] = None):
@@ -310,13 +311,6 @@ class SgmConfig:
             raise ValueError("trm_max/tc_max must be >= 0")
         if self.eval_budget < 1:
             raise ValueError("eval_budget must be >= 1")
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
-        betas = tuple(self.beta_sweep)
-        if not betas or not all(0 < b < np.inf for b in betas):
-            raise ValueError("beta_sweep must contain positive finite values")
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise ValueError("beta_sweep must be strictly increasing")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if obj is not None:

@@ -3,12 +3,12 @@ vertex, rotation over every swept direction but the last when no ray
 improves, and midpoint crossover of the cell edges around each accepted
 candidate.
 
-The ray and rotation lengths carry a mesh scale that halves whenever a full
-sweep fails to improve the incumbent; without that refinement the fixed
-sweep lengths quantize the reachable points and stall at a lattice distance
-from optima that do not sit on the grid.  The scale stops halving at
-SCALE_MIN, which (together with the stall rule and the evaluation budget)
-bounds every run.
+Rays run 1x..10x ``alpha_base`` and rotations the BETA_SWEEP lengths, both
+times a mesh scale that halves whenever a full sweep fails to improve the
+incumbent; without it the fixed lengths quantize the reachable points and
+stall at a lattice distance from optima off the grid.  The scale stops
+halving at SCALE_MIN, and STALL_LIMIT consecutive improvements below
+STALL_TOLERANCE end the run; with the budget, these bound every run.
 
 As in a pattern search poll set, a sweep's candidates are s plus fixed
 offsets times the mesh scale.  The offsets are built once per run, kept on
@@ -28,8 +28,10 @@ import numpy as np
 from .core import BudgetExceeded, EvalContext, SgmConfig, better, box_mask, rank
 from .subdivision import MOORE_FULL_MAX_DIM, GridCell, Phase1Outcome
 
+BETA_SWEEP = (0.1, 0.25, 0.5, 0.75, 1.0)
 SCALE_MIN = 2.0 ** -24
 STALL_LIMIT = 3
+STALL_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -99,20 +101,20 @@ def sweep(state: RefineState, ctx: EvalContext, config: SgmConfig,
           directions) -> Optional[Tuple[np.ndarray, float]]:
     """The first strictly better feasible candidate, or None: rays along each
     direction in turn at 1x..10x alpha_base, then, only if no ray improves,
-    rotations at each beta over every direction but the last, both lengths
-    times the mesh scale.  Each rotation walked, cache hits included,
+    rotations at each BETA_SWEEP beta over every direction but the last, both
+    lengths times the mesh scale.  Each rotation walked, cache hits included,
     counts toward trm_max; a budget stop leaves ``rotations_used`` as is.
 
     The offsets ``(k*alpha_base)*d`` and ``beta*d`` are built at scale 1
-    and kept on ``state`` until the directions, ``alpha_base`` or
-    ``beta_sweep`` change.  A candidate is ``s + offset*scale``, bit for bit
+    and kept on ``state`` until the directions or ``alpha_base`` change.  A
+    candidate is ``s + offset*scale``, bit for bit
     ``s + (k*alpha_base*scale)*d``: d is +-1 and rounding is sign-symmetric.
     With s in the box and scale <= 1, a candidate overflows only if the box's
     largest |bound| plus the largest |offset| does (``wide``), so only then is overflow ignored."""
-    key = (tuple(directions), config.alpha_base, tuple(config.beta_sweep))
+    key = (tuple(directions), config.alpha_base)
     if state.tables is None or state.tables[0] != key:
         dirs = np.asarray(directions, dtype=float)
-        betas = np.asarray(config.beta_sweep, dtype=float)
+        betas = np.asarray(BETA_SWEEP, dtype=float)
         alphas = np.arange(1, 11) * config.alpha_base
         rays = np.repeat(dirs, 10, axis=0) * np.tile(alphas, len(dirs))[:, None]
         rotations = np.tile(dirs[:-1], (len(betas), 1)) * np.repeat(betas, len(dirs) - 1)[:, None]
@@ -159,7 +161,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
     crossover around p, and the incumbent moves to the best of {p,
     midpoints}.  A fully failed iteration halves the mesh scale.
     Termination: the scale bottoms out with nothing better, three
-    consecutive sub-tolerance improvements, or budget exhaustion.
+    consecutive improvements below STALL_TOLERANCE, or budget exhaustion.
 
     Returns (state, generations, trace_rows), with one generation and one
     row per iteration, one the budget interrupted included.  Each row
@@ -200,7 +202,7 @@ def run_phase2(outcome: Phase1Outcome, obj, config: SgmConfig, ctx: EvalContext,
                 state.s, state.s_value = np.asarray(new_s, dtype=float), new_v
                 if better(new_v, floor_value):
                     floor_value, floor_point = new_v, tuple(state.s.tolist())
-                stall = stall + 1 if improvement < config.tolerance else 0
+                stall = stall + 1 if improvement < STALL_TOLERANCE else 0
                 done = stall >= STALL_LIMIT
             if trace_sink is not None:
                 trace_sink(gens, state.s, p, p is not None)

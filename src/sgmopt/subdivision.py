@@ -3,11 +3,14 @@ labeling of grid vertices, completely-labeled cell detection, and bisection.
 
 Each vertex gets a label in {0..n} from the sign pattern of a descent
 indicator: either the direction to its best Moore neighbor (one grid step
-finer than the cell) or the objective gradient.  A cell whose corner labels
-cover {0, 1, ..., n} brackets a stationary point, so the round subdivides it
-and continues on the children, or above CORNER_ENUM_MAX_DIM on the one child
-on the best point's side of each split plane.  Labeling evaluates neighbors
-half a step outside the cell, so that point need not lie in the cell.
+finer than the cell) or the objective gradient.  A round subdivides a cell
+whose corner labels cover {0, 1, ..., n} and continues on the children, or
+above CORNER_ENUM_MAX_DIM on the one child on the best point's side of each
+split plane.  Labeling evaluates neighbors half a step outside the cell, so
+that point need not lie in the cell.  Such a complete cell need not hold a
+stationary point: on ten shifts each of F1, F2, TP1 and BEALE the selected
+cell held the optimum in 10 of 40 runs (29 ended complete), and the test
+fired on 77 of 110 candidate cells holding the optimum and 48 of 410 not.
 
 Exactness: cell steps are represented as initial_extent * 2**(-level), so
 halving never accumulates rounding error, and vertices are reconstructed

@@ -169,12 +169,12 @@ def batch_f5(P) -> np.ndarray:
     return 1.0 / (0.002 + (1.0 / (_F5_J + d)).sum(axis=1))
 
 
-def finite_difference_gradient(fn, p, rel_step: float = 1e-6) -> np.ndarray:
-    """Central differences with per-axis step rel_step * (1 + |x_i|)."""
+def finite_difference_gradient(fn, p) -> np.ndarray:
+    """Central differences with per-axis step 1e-6 * (1 + |x_i|)."""
     x = np.asarray(p, dtype=float)
     g = np.empty_like(x)
     for i in range(x.size):
-        h = rel_step * (1.0 + abs(x[i]))
+        h = 1e-6 * (1.0 + abs(x[i]))
         up = x.copy()
         dn = x.copy()
         up[i] += h

@@ -243,8 +243,8 @@ class TestSimulatedAnnealing:
             SaConfig(t0=-1.0).validate()
         with pytest.raises(ValueError):
             SaConfig(cooling=1.5).validate()
-        with pytest.raises(ValueError):
-            SaConfig(t_min=20.0).validate()
+        with pytest.raises(ValueError, match="^t0 must exceed t_min = 1e-05$"):
+            SaConfig(t0=SaConfig.t_min).validate()
 
     @pytest.mark.parametrize("field,value,message", [
         ("t0", np.nan, "t0 must be positive and finite"),

@@ -1,18 +1,19 @@
 import json
 import re
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgmopt import bench, cli, engine
+from sgmopt.baselines import SaConfig
 from sgmopt.bench import (CSV_AGGREGATE_HEADER, CSV_TRIAL_HEADER, OVERRIDES,
                           ExperimentSpec, compute_aggregates, emit_csv,
                           emit_json, is_success, parse_spec_file,
                           parse_trial_csv, png_ratio, png_row, run_experiment)
-from sgmopt.core import RngStream, RunResult, Sense
+from sgmopt.core import RngStream, RunResult, Sense, SgmConfig
 from sgmopt.engine import default_config
 from sgmopt.testbed import make_objective
 
@@ -158,6 +159,20 @@ F5.budget = 30000  # budget, labeling
         assert spec.functions == ("F1", "F2", "F5")
         assert spec.algorithms == ("SGM", "RS", "SA")
         assert spec.overrides == {"F5": {"tf": "8", "budget": "30000"}}
+
+
+def test_every_config_field_has_a_caller():
+    """Each settable field is reachable from a spec key, an override key or
+    an ``sgmopt solve`` flag; a value nobody sets is a module constant."""
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    # sense and seed: ``sgmopt solve --sense/--seed`` and default_config(seed=).
+    assert names(SgmConfig) == {f for f, _ in OVERRIDES.values()} | {"sense", "seed"}
+    assert names(SaConfig) == set(bench._SA_FIELDS.values())
+    spec_keys = {k for k in bench._SPEC_KEYS if not k.startswith("sa_")}
+    # overrides: the per-function ``F2.tf = 3`` keys; sa: the sa_* keys.
+    assert names(ExperimentSpec) == spec_keys | {"overrides", "sa"}
 
 
 class TestRunExperiment:

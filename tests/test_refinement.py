@@ -265,12 +265,12 @@ def reference_rays(state, ctx, config, directions):
 
 
 def reference_rotations(state, ctx, config, directions):
-    """The rotation loop, one candidate at a time: each beta over every
-    direction but the last, checking trm_max before each candidate.  It
-    adds the rotations it used to ``state.rotations_used`` when it returns,
-    so a budget stop leaves the count as it was."""
+    """The rotation loop, one candidate at a time: each BETA_SWEEP length
+    over every direction but the last, checking trm_max before each
+    candidate.  It adds the rotations it used to ``state.rotations_used``
+    when it returns, so a budget stop leaves the count as it was."""
     used = 0
-    for beta in config.beta_sweep:
+    for beta in refinement.BETA_SWEEP:
         for e in directions[:-1]:
             if state.rotations_used + used >= config.trm_max:
                 break
@@ -482,7 +482,7 @@ def old_candidates(s, config, scale, dirs):
     were kept: the lengths scaled first, then multiplied into the directions."""
     d = np.asarray(dirs, dtype=float)
     a = config.alpha_base
-    betas = np.asarray(config.beta_sweep, dtype=float) * scale
+    betas = np.asarray(refinement.BETA_SWEEP, dtype=float) * scale
     return [ray_mutate(s, np.repeat(d, 10, 0),
                        np.tile(np.arange(1, 11) * a * scale, len(d))[:, None]).tobytes(),
             ray_mutate(s, np.tile(d[:-1], (len(betas), 1)),
@@ -538,7 +538,7 @@ class TestSweepTables:
             st.s, st.s_value = after.copy(), ctx.value(after)
             runs.append(sweep_run(fn, ctx, st, config, dirs))
         assert state.tables[0] != old_key
-        assert state.tables[0] == (tuple(dirs), config.alpha_base, config.beta_sweep)
+        assert state.tables[0] == (tuple(dirs), config.alpha_base)
         return runs
 
     def test_inward_flip_rebuilds_the_table(self):
