@@ -114,7 +114,7 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
 class SaConfig:
     """Simulated-annealing settings: initial temperature, geometric cooling
     factor, Metropolis steps per temperature, and the Gaussian proposal
-    scale as a fraction of each axis extent.  Cooling stops at fixed t_min.
+    scale as a fraction of each axis extent.  Cooling stops at t_min, a constant.
 
     The proposal width also anneals with sqrt(T/t0) (floored at 2% of the
     base width) so early stages explore the box and late stages resolve
