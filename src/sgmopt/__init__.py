@@ -3,9 +3,8 @@ derivative-free optimization, with the accompanying test bed, baseline
 solvers, and benchmark harness."""
 
 from .core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
-                   LabelStrategy, Objective, ObjectiveError, RefinementLimit,
-                   RngStream, RunResult, Sense, SgmConfig, contains,
-                   counted_eval)
+                   LabelStrategy, Objective, ObjectiveError, RngStream,
+                   RunResult, Sense, SgmConfig, contains, counted_eval)
 from .testbed import foxholes_matrix, make_objective
 from .engine import default_config, solve
 from .baselines import SaConfig, random_search, reference_table, simulated_annealing
@@ -13,8 +12,8 @@ from .bench import ExperimentSpec, Report, png_ratio, run_experiment
 
 __all__ = [
     "BoxDomain", "BudgetExceeded", "EvalContext", "EvalCounter",
-    "LabelStrategy", "Objective", "ObjectiveError", "RefinementLimit",
-    "RngStream", "RunResult", "Sense", "SgmConfig", "contains",
+    "LabelStrategy", "Objective", "ObjectiveError", "RngStream",
+    "RunResult", "Sense", "SgmConfig", "contains",
     "counted_eval", "foxholes_matrix", "make_objective", "default_config",
     "solve", "SaConfig", "random_search", "reference_table",
     "simulated_annealing", "ExperimentSpec", "Report", "png_ratio",

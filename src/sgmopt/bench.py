@@ -27,10 +27,10 @@ from .core import (LabelStrategy, RngStream, RunResult, SgmConfig, deviation,
 ALGORITHMS = ("SGM", "RS", "SA")
 
 # Success = best point within max-norm tolerance of the known optimum;
-# F5's wells justify a looser radius, and F4 (noisy) is judged on its
-# noise-free part instead of the point.
+# F5's wells justify a looser radius, and a stochastic function (F4) is
+# judged on its noise-free part instead of the point.
 SUCCESS_TOL = {"default": 1e-2, "F5": 1e-1}
-F4_DETPART_TOL = 1e-2
+NOISE_FREE_TOL = 1e-2
 
 def _labeling(raw) -> LabelStrategy:
     valid = [s.value for s in LabelStrategy]
@@ -236,9 +236,10 @@ class Report:
 
 
 def is_success(func: str, result_best_x) -> bool:
-    if func == "F4":
-        return testbed.f4_deterministic(np.asarray(result_best_x)) <= F4_DETPART_TOL
-    sd, _ = deviation(result_best_x, testbed.make_objective(func).known_optimum)
+    obj = testbed.make_objective(func)
+    if obj.stochastic:
+        return float(obj.noise_free_fn(np.asarray(result_best_x, dtype=float))) <= NOISE_FREE_TOL
+    sd, _ = deviation(result_best_x, obj.known_optimum)
     return sd <= SUCCESS_TOL.get(func, SUCCESS_TOL["default"])
 
 

@@ -33,10 +33,6 @@ class BudgetExceeded(Exception):
     """
 
 
-class RefinementLimit(Exception):
-    """Raised when a grid cell would be halved past the exactness limit."""
-
-
 class ObjectiveError(RuntimeError):
     """The objective raised; the original exception is the ``__cause__``.
 

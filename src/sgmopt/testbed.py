@@ -4,16 +4,20 @@ gradients where they exist.
 
 Every deterministic function, and F4's noise-free part, has a batch form
 registered with ``core.vectorises`` that evaluates each row of an (m, n)
-array in one call.  Where a scalar form applies ``**`` to a single number,
-its batch form uses ``np.float_power``, which calls the same libm ``pow``;
-``np.power`` and ``x * x`` round differently on some points.  No power here
-goes through numpy's ``**`` on an array: numpy may send that to an AVX-512
-kernel that is slower and an ulp off libm on some points, so values would
-depend on the host.  F4's and F5's two forms use ``np.float_power`` instead,
-and their values are libm's on every host.  Where the scalar form applies a
-sum to an array, the batch form does the same along the rows.  The scalar
-forms sum with ``np.add.reduce`` (``.sum()`` without its wrapper).
-tests/test_testbed.py checks all of this bit for bit.
+array in one call.  F1, F3 and F4's noise-free part are one numpy expression
+summed with ``np.add.reduce`` over the last axis, so each is its own batch
+form; for one point each returns a numpy float64, a ``float`` subclass with
+the same value.  TP1, BEALE, F2 and F5 keep a separate scalar form that
+returns a Python float, because a row walk evaluates one point at a time
+and these are faster at it.  Where such a scalar form applies ``**`` to a
+single number, its batch form uses ``np.float_power``, which calls the same
+libm ``pow``; ``np.power`` and ``x * x`` round differently on some points.
+No power here goes through numpy's ``**`` on an array: numpy may send that
+to an AVX-512 kernel that is slower and an ulp off libm on some points, so
+values would depend on the host.  F4 and F5 use ``np.float_power`` instead, and their
+values are libm's on every host.  Where F5's scalar form sums an array, its
+batch form sums along the rows.  tests/test_testbed.py checks all of this
+bit for bit.
 
 The Shekel foxholes constants are a module constant built from their
 structure: the 25 well centres are the 5x5 grid over (-32, -16, 0, 16, 32).
@@ -80,14 +84,12 @@ def grad_beale(p) -> np.ndarray:
     return np.array([g1, g2])
 
 
-def eval_f1(p) -> float:
+def eval_f1(p):
     x = np.asarray(p, dtype=float)
-    return float(np.add.reduce(x * x))
+    return np.add.reduce(x * x, axis=-1)
 
 
-@vectorises(eval_f1)
-def batch_f1(P) -> np.ndarray:
-    return (P * P).sum(axis=1)
+vectorises(eval_f1)(eval_f1)
 
 
 def grad_f1(p) -> np.ndarray:
@@ -116,25 +118,19 @@ def grad_f2(p) -> np.ndarray:
     ])
 
 
-def eval_f3(p) -> float:
-    x = np.asarray(p, dtype=float)
-    return float(30.0 + np.add.reduce(np.floor(x)))
+def eval_f3(p):
+    return 30.0 + np.add.reduce(np.floor(np.asarray(p, dtype=float)), axis=-1)
 
 
-@vectorises(eval_f3)
-def batch_f3(P) -> np.ndarray:
-    return 30.0 + np.floor(P).sum(axis=1)
+vectorises(eval_f3)(eval_f3)
 
 
-def f4_deterministic(p) -> float:
+def f4_deterministic(p):
     """Noise-free part of F4: sum_i i * x_i^4."""
-    x = np.asarray(p, dtype=float)
-    return float(np.add.reduce(_F4_COEF * np.float_power(x, 4)))
+    return np.add.reduce(_F4_COEF * np.float_power(np.asarray(p, dtype=float), 4), axis=-1)
 
 
-@vectorises(f4_deterministic)
-def batch_f4_deterministic(P) -> np.ndarray:
-    return (_F4_COEF * np.float_power(P, 4)).sum(axis=1)
+vectorises(f4_deterministic)(f4_deterministic)
 
 
 def eval_f4(p, rng: RngStream) -> float:

@@ -76,13 +76,40 @@ def test_summarise_reads_failures_and_digests_per_seed():
     assert "FLAGGED seed 6 head" in text
 
 
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], capture_output=True, text=True, check=True).stdout
+
+
+def test_copy_worktree_takes_the_files_a_commit_would_hold(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    repo.mkdir()
+    dest.mkdir()
+    git(repo, "init", "-q")
+    for name, text in {".gitignore": "ignored.txt\n", "kept.txt": "old", "gone.txt": "x"}.items():
+        (repo / name).write_text(text)
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "kept.txt").write_text("new")
+    (repo / "gone.txt").unlink()
+    (repo / "sub").mkdir()
+    (repo / "sub" / "untracked.txt").write_text("u")
+    (repo / "ignored.txt").write_text("i")
+    bench_pairs.copy_worktree(repo, dest)
+    copied = {p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()}
+    assert copied == {".gitignore", "kept.txt", "sub/untracked.txt"}
+    assert (dest / "kept.txt").read_text() == "new"
+
+
 def test_a_short_aa_pair_of_head_leaves_nothing_behind(tmp_path, capsys):
     """One pair of HEAD against the working tree: every metric is read on
-    both sides, the exported tree is deleted, and the checkout shows no new
-    file; the JSON goes only where --out says."""
+    both sides, both temporary trees are deleted, and the checkout shows no
+    new or changed file, ignored ones included; the JSON goes only where
+    --out says."""
     def status():
-        return subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain"],
-                              capture_output=True, text=True, check=True).stdout
+        outputs = sorted((p.as_posix(), p.stat().st_mtime_ns)
+                         for p in (ROOT / ".perfbench_out").rglob("*"))
+        return git(ROOT, "status", "--porcelain"), outputs
 
     top = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--show-toplevel", "--verify",
                           "HEAD"], capture_output=True, text=True)

@@ -1,12 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sgmopt.core import (BoxDomain, BudgetExceeded, EvalContext, EvalCounter,
-                         LabelStrategy, Objective, RefinementLimit, RngStream,
-                         Sense, SgmConfig, better, box_mask, contains, rank,
-                         row_keys, vectorises)
+                         LabelStrategy, Objective, RngStream, Sense, SgmConfig,
+                         better, box_mask, contains, rank, row_keys, vectorises)
 from sgmopt import subdivision
 from sgmopt.engine import default_config, solve
 from sgmopt.subdivision import (CORNER_ENUM_MAX_DIM, MAX_LEVEL, MOORE_FULL_MAX_DIM,
@@ -609,16 +609,6 @@ class TestSubdivide:
         for level in range(1, 41):
             cell = cell.child(corner_plan(2)[0])
             assert np.array_equal(cell.step, extent * 2.0 ** -level)
-        with pytest.raises(RefinementLimit):
-            cell.subdivide()
-
-    def test_child_refuses_past_max_level(self):
-        cell = initial_cell(box(-1, 1))
-        for _ in range(MAX_LEVEL):
-            cell = cell.child(corner_plan(2)[-1])
-        assert cell.level == MAX_LEVEL
-        with pytest.raises(RefinementLimit):
-            cell.child(corner_plan(2)[0])
 
     def test_child_of_a_point_on_a_split_plane_is_the_lower_one(self):
         cell = initial_cell(box(-1, 1, n=3)).subdivide()[5]
@@ -747,6 +737,12 @@ class TestRunPhase1:
         assert len(out.trace) == 41
         assert out.evaluations == 160
         assert solve(obj, cfg).best_value < 1e-12
+
+    def test_rounds_past_the_level_cap_change_nothing(self):
+        # Phase 1 reaches level 40 within F2's default budget.
+        obj, cfg = make_objective("F2"), default_config("F2", seed=0)
+        capped = solve(obj, replace(cfg, tf_rounds=MAX_LEVEL)).without_wallclock()
+        assert solve(obj, replace(cfg, tf_rounds=MAX_LEVEL + 5)).without_wallclock() == capped
 
     def test_high_dimensional_zoom(self):
         obj = make_objective("F4")

@@ -236,6 +236,11 @@ def test_f4_noisy_fn_has_no_batch_form():
     assert batch_form(make_objective("F4").fn) is None
 
 
+@pytest.mark.parametrize("fn", [eval_f1, eval_f3, f4_deterministic])
+def test_single_expression_forms_are_their_own_batch_forms(fn):
+    assert batch_form(fn) is fn
+
+
 def test_f4_is_built_from_libm_pow():
     """F4's noise-free part, in both forms, is sum(i * math.pow(x_i, 4)) bit
     for bit, summed as each form sums.  ``x ** 4`` misses this on some rows
@@ -244,7 +249,7 @@ def test_f4_is_built_from_libm_pow():
     P = np.random.default_rng(8).uniform(obj.domain.lo, obj.domain.hi, size=(100_000, 30))
     terms = np.arange(1, 31, dtype=float) * np.fromiter(
         map(math.pow, P.ravel().tolist(), itertools.repeat(4.0)), float, P.size).reshape(P.shape)
-    got = testbed.batch_f4_deterministic(P)
+    got = f4_deterministic(P)
     want = terms.sum(axis=1)
     bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
     assert bad.size == 0, f"batch form: {bad.size} rows differ; {simd_report()}"

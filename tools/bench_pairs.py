@@ -3,12 +3,15 @@
     python3 tools/bench_pairs.py --base REV --workload W --pairs N --seconds S --seed K [--out FILE]
 
 Run from anywhere; the head is the working tree of the checkout that holds
-this file.  The base is exported with ``git archive REV | tar -x`` into a
-temporary directory, which is deleted afterwards; no worktree is made and
-nothing in ``.git`` changes.  Pair i runs ``perfbench/run.py --workload W
---seed K+i --seconds S --trace 0`` once from each tree, the base first in
-even pairs and the head first in odd ones, so that drift over the session
-favours neither side.
+this file.  Both sides run from temporary copies, which are deleted
+afterwards, so they start alike and neither writes into the checkout: the
+base is exported with ``git archive REV | tar -x``, and the head copies the
+files ``git ls-files --cached --others --exclude-standard`` lists, as they
+are on disk (tracked files deleted from the working tree are left out).  No
+worktree is made and nothing in ``.git`` changes.  Pair i runs
+``perfbench/run.py --workload W --seed K+i --seconds S --trace 0`` once from
+each tree, the base first in even pairs and the head first in odd ones, so
+that drift over the session favours neither side.
 
 For each end-to-end metric in the head's BENCHMARK.json it prints each
 side's median and quartiles, the median per-pair ratio head/base beside the
@@ -26,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -116,6 +120,17 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def copy_worktree(root: Path, dest: Path) -> None:
+    """Copy into ``dest`` the files of the git working tree ``root`` that a
+    commit after ``git add -A`` would hold, with their bytes on disk."""
+    names = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in map(os.fsdecode, filter(None, names.split(b"\0"))):
+        if (root / name).is_file():    # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def bench_files(tree: Path) -> dict:
     files = {"BENCHMARK.json": (tree / "BENCHMARK.json").read_bytes()}
     for path in sorted((tree / "perfbench").rglob("*")):
@@ -196,13 +211,16 @@ def main(argv=None) -> int:
     if args.workload not in {w["name"] for w in benchmark["workloads"]}:
         parser.error("--workload must name a workload of BENCHMARK.json")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        base_tree = Path(tmp)
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
         try:
-            commit = export(args.base, base_tree)
+            commit = export(args.base, trees["base"])
         except subprocess.CalledProcessError as exc:
             parser.error(f"cannot export {args.base!r}: {exc.stderr or exc}")
+        copy_worktree(ROOT, trees["head"])
         warnings = []
-        if bench_files(base_tree) != bench_files(ROOT):
+        if bench_files(trees["base"]) != bench_files(trees["head"]):
             warnings.append(f"perfbench/ or BENCHMARK.json differ between {args.base} "
                             "and the working tree")
         for warning in warnings:
@@ -213,8 +231,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             entry = {"seed": seed, "first": order[0]}
             for side in order:
-                tree = base_tree if side == "base" else ROOT
-                entry[side] = run_side(tree, args.workload, seed, args.seconds)
+                entry[side] = run_side(trees[side], args.workload, seed, args.seconds)
             runs.append(entry)
             print(f"pair {i + 1}/{args.pairs} seed {seed} done", flush=True)
     summary = summarise(runs, benchmark["end_to_end"])
