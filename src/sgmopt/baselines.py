@@ -3,6 +3,7 @@ static literature generation-count table used for comparisons."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -59,18 +60,20 @@ RS_BLOCK = 512
 def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     """Uniform sampling over the box; returns the best of ``budget`` draws.
 
-    A stochastic objective, whose fn shares the rng, is evaluated one draw
-    at a time.  Otherwise the draws come in blocks of up to RS_BLOCK rows
-    (the same numbers as one draw per point); an objective with a batch
-    form (the test bed's) evaluates a block in one call, any other one
-    draw at a time.  No draw is tested against the box: none can leave it
-    (the comment below gives the rounding argument)."""
+    The draws come in blocks of up to RS_BLOCK rows, one ``rng.random((m,
+    n))`` call a block.  An objective with a batch form (the test bed's)
+    evaluates a block in one call, any other one row at a time; a
+    stochastic one is passed ``rng`` as well, after the block's points are
+    drawn.  Both paths draw the same numbers from ``rng`` (see
+    ``core.vectorises``).  No draw is tested against the box: none can
+    leave it (the comment below gives the rounding argument)."""
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
-    lo, hi = obj.domain.lo, obj.domain.hi
+    # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
+    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
     span = hi - lo    # finite: BoxDomain refuses a box whose hi - lo overflows
     # No draw lo + span * u can leave [lo, hi].  Generator.random returns
     # u in [0, 1 - 2**-53], and BoxDomain admits only finite lo < hi whose
@@ -80,24 +83,15 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     # subnormal span is exact.  So lo plus the rounded product is at most
     # hi, and rounding that sum, being monotone, keeps it at most the float
     # hi (and at least lo, as the product is >= 0).
-    fn = obj.fn
+    fn, stochastic, batch = obj.fn, obj.stochastic, batch_form(obj.fn)
     best_x = best_v = None
     trace = []
-    if obj.stochastic:
-        random, n = rng.random, obj.dim
-        for i in range(budget):
-            x = lo + span * random(n)
-            v = float(fn(x, rng))
-            if best_v is None or better(v, best_v):
-                best_x, best_v = x, v
-                trace.append((i, v, tuple(x.tolist())))
-        return RunResult.build(obj, best_x, best_v, budget, budget, trace, t0)
-    # (1, n) bounds: numpy broadcasts them over a block faster than (n,) ones.
-    lo, span = lo[None], span[None]
-    batch = batch_form(fn)
     for start in range(0, budget, RS_BLOCK):
         X = lo + span * rng.random((min(RS_BLOCK, budget - start), obj.dim))
-        vals = [float(fn(x)) for x in X] if batch is None else batch(X).tolist()
+        if batch is not None:
+            vals = (batch(X, rng) if stochastic else batch(X)).tolist()
+        else:
+            vals = [float(fn(x, rng)) for x in X] if stochastic else [float(fn(x)) for x in X]
         # Only values below the best so far can beat it; NaN passes this
         # filter, and ``better`` ranks it worst.
         rows = range(len(X)) if best_v is None else [
@@ -113,8 +107,9 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
 @dataclass
 class SaConfig:
     """Simulated-annealing settings: initial temperature, geometric cooling
-    factor, Metropolis steps per temperature, and the Gaussian proposal
-    scale as a fraction of each axis extent.  Cooling stops at t_min, a constant.
+    factor, Metropolis steps per temperature (also the row count of each
+    stage's block of random draws), and the Gaussian proposal scale as a
+    fraction of each axis extent.  Cooling stops at t_min, a constant.
 
     The proposal width also anneals with sqrt(T/t0) (floored at 2% of the
     base width) so early stages explore the box and late stages resolve
@@ -149,7 +144,13 @@ _SA_COLD_FRACTION = 0.01
 def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) -> RunResult:
     """Metropolis acceptance with geometric cooling from a uniform draw;
     proposals are Gaussian per axis (scaled by axis extent and the annealing
-    width) and clamped to the box.  Returns the best point ever visited."""
+    width) and clamped to the box.  Returns the best point ever visited.
+
+    Each stage draws its randomness before its first evaluation: one
+    ``rng.normal((steps_per_temp, n))`` block, whose row i is step i's
+    proposal offset, then one ``rng.random(steps_per_temp)`` block of
+    acceptance draws.  The Metropolis test uses libm's ``math.exp``, so its
+    outcome does not depend on the host's numpy dispatch."""
     sa = sa or SaConfig()
     sa.validate()
     t0_clock = time.perf_counter()
@@ -157,9 +158,8 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
     # lo + (hi - lo) * random(), so in the box by random_search's rounding argument.
     x = rng.uniform(box.lo, box.hi)
     base_sigma = sa.proposal_scale * box.extent
-    fn, stochastic, n = obj.fn, obj.stochastic, obj.dim
-    normal, random = rng.normal, rng.random
-    maximum, minimum, exp = np.maximum, np.minimum, np.exp
+    fn, stochastic, steps, n = obj.fn, obj.stochastic, sa.steps_per_temp, obj.dim
+    maximum, minimum, exp = np.maximum, np.minimum, math.exp
     lo, hi = box.lo, box.hi
     fx = float(fn(x, rng) if stochastic else fn(x))
     best_x, best_v = x, fx
@@ -170,22 +170,22 @@ def simulated_annealing(obj: Objective, sa: Optional[SaConfig], rng: RngStream) 
         stage += 1
         if temp < _SA_COLD_FRACTION * sa.t0:
             x, fx = best_x, best_v
-        sigma = base_sigma * max(np.sqrt(temp / sa.t0), _SA_WIDTH_FLOOR)
-        for _ in range(sa.steps_per_temp):
-            # x + z * sigma, built in the fresh array z (x and best_x may
-            # alias earlier proposals, never this one); the clamp keeps every
-            # proposal in the box.
-            prop = normal(n)
-            prop *= sigma
+        Z = rng.normal((steps, n))
+        Z *= base_sigma * max(np.sqrt(temp / sa.t0), _SA_WIDTH_FLOOR)
+        U = rng.random(steps).tolist()
+        for i in range(steps):
+            # x + z * sigma, built in the stage's fresh row Z[i] (x and
+            # best_x may alias earlier rows or blocks, never this row); the
+            # clamp keeps every proposal in the box.
+            prop = Z[i]
             prop += x
             maximum(prop, lo, out=prop)
             minimum(prop, hi, out=prop)
             fp = float(fn(prop, rng) if stochastic else fn(prop))
-            if better(fp, fx) or random() < exp(-(fp - fx) / temp):
+            if better(fp, fx) or U[i] < exp(-(fp - fx) / temp):
                 x, fx = prop, fp
             if better(fp, best_v):
                 best_x, best_v = prop, fp
                 trace.append((stage, fp, tuple(float(c) for c in prop)))
         temp *= sa.cooling
-    return RunResult.build(obj, best_x, best_v, 1 + stage * sa.steps_per_temp, stage, trace,
-                           t0_clock)
+    return RunResult.build(obj, best_x, best_v, 1 + stage * steps, stage, trace, t0_clock)

@@ -191,7 +191,12 @@ _BATCH_FORMS: dict = {}
 def vectorises(fn: Callable):
     """Register the decorated ``batch(P) -> (m,) values`` as the row-wise
     form of the scalar function ``fn``.  Row i of its result must equal
-    ``fn(P[i])`` bit for bit."""
+    ``fn(P[i])`` bit for bit.
+
+    For a stochastic ``fn(p, rng)`` the batch form is ``batch(P, rng)``.
+    Row i of its result must equal the i-th of m successive ``fn(P[i],
+    rng)`` calls on the same stream, bit for bit, and it must leave the
+    stream where those m calls leave it."""
     def register(batch):
         _BATCH_FORMS[id(fn)] = (fn, batch)
         return batch

@@ -1,3 +1,5 @@
+import functools
+import math
 import time
 from dataclasses import replace
 
@@ -85,12 +87,15 @@ EDGE_BOXES = {
 
 def row_by_row(obj):
     """A copy of ``obj`` whose fn wraps the test-bed one, so random search
-    evaluates it one draw at a time."""
+    evaluates it one draw at a time; a stochastic one is passed the rng."""
     fn = obj.fn
-    return replace(obj, fn=lambda p: fn(p))
+    return replace(obj, fn=lambda p, *rng: fn(p, *rng))
 
 
-@pytest.mark.parametrize("name", ["TP1", "BEALE", "F1", "F2", "F3", "F5"])
+# F4's batch form draws the noise of a block's rows in one call, and must
+# leave the stream where its row-by-row calls do.  perfbench's traced runs
+# wrap fn, so they evaluate one draw at a time, and rely on this equality.
+@pytest.mark.parametrize("name", ["TP1", "BEALE", "F1", "F2", "F3", "F4", "F5"])
 def test_batched_random_search_equals_row_by_row(name):
     obj = make_objective(name)
     assert batch_form(obj.fn) is not None
@@ -146,9 +151,9 @@ def recording_objective(box: BoxDomain, path: str):
         return float(np.max(np.abs(p))) + (rng[0].random() if rng else 0.0)
 
     @vectorises(fn)
-    def rows(P):
+    def rows(P, *rng):
         calls.append((P, P.copy()))
-        return np.max(np.abs(P), axis=1)
+        return np.max(np.abs(P), axis=1) + (rng[0].random(len(P)) if rng else 0.0)
     obj = Objective("RECORDING", box.dim, box, fn if path == "batch" else lambda p: fn(p))
     if path == "stochastic":
         obj = replace(obj, fn=fn, stochastic=True, noise_free_fn=lambda p: fn(p))
@@ -177,7 +182,7 @@ class TestRandomSearchDraws:
         assert len(P) == r.evaluations
         assert box_mask(obj.domain, P).all()
         assert all(p.tobytes() == copy.tobytes() for p, copy in calls)
-        assert len(calls) == (3 if path == "batch" else r.evaluations)
+        assert len(calls) == (r.evaluations if path == "row_by_row" else 3)
 
 
 def noisy(p, rng):
@@ -187,35 +192,57 @@ def noisy(p, rng):
     return float(np.sum((p - 0.3) ** 2) + abs(p[-1]) * rng.normal())
 
 
-def per_draw_reference(obj: Objective, budget: int, rng: RngStream) -> RunResult:
-    """Random search on a stochastic objective as it ran before its per-draw
-    loop: one (1, n) block per draw, its row evaluated, ranked by ``better``."""
+def block_reference(obj: Objective, budget: int, rng: RngStream) -> RunResult:
+    """Random search on a stochastic objective, written out: the points of
+    each block of up to RS_BLOCK draws come first, then each row is
+    evaluated with the rng in turn and ranked by ``better``."""
     t0 = time.perf_counter()
-    lo, hi = obj.domain.lo[None], obj.domain.hi[None]
-    span = hi - lo
+    lo, hi = obj.domain.lo, obj.domain.hi
     best_x = best_v = None
     trace = []
-    for i in range(budget):
-        X = lo + span * rng.random((1, obj.dim))
-        v = float(obj.fn(X[0], rng))
-        if best_v is None or better(v, best_v):
-            best_x, best_v = X[0], v
-            trace.append((i, v, tuple(float(c) for c in best_x)))
+    for start in range(0, budget, RS_BLOCK):
+        X = lo + (hi - lo) * rng.random((min(RS_BLOCK, budget - start), obj.dim))
+        for i, x in enumerate(X, start):
+            v = float(obj.fn(x, rng))
+            if best_v is None or better(v, best_v):
+                best_x, best_v = x, v
+                trace.append((i, v, tuple(float(c) for c in best_x)))
     return RunResult.build(obj, best_x, best_v, budget, budget, trace, t0)
 
 
-@pytest.mark.parametrize("budget", [1, 2, 300])
+@pytest.mark.parametrize("budget", [1, 2, 300, RS_BLOCK + 3])
 @pytest.mark.parametrize("n", [1, 2, 7])
-def test_stochastic_random_search_equals_the_per_draw_reference(n, budget):
+def test_stochastic_random_search_equals_the_block_reference(n, budget):
     obj = Objective("NOISY", n, BoxDomain(np.full(n, -1.0), np.full(n, 1.0)), noisy,
                     stochastic=True, noise_free_fn=lambda p: noisy(p, RngStream(0)))
     nan_first = 0
     for seed in range(6):
         got = random_search(obj, budget, RngStream(seed, n))
-        want = per_draw_reference(obj, budget, RngStream(seed, n))
+        want = block_reference(obj, budget, RngStream(seed, n))
         assert repr(got.without_wallclock()) == repr(want.without_wallclock())
         nan_first += np.isnan(want.trace[0][1])
     assert nan_first    # some run starts at NaN, which any later number beats
+
+
+SA_BOX_CASES = ["F1", "F2", "F3", "F4", "F5", "NEARLIMIT", "NARROW"]
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_annealing(name: str, seed: int):
+    """(objective, result, P, unwritten) of a default annealing run on the
+    test-bed function or edge box ``name`` from ``RngStream(seed, 3)``: P
+    holds a copy of each point its fn was called at, taken at the call, and
+    ``unwritten`` says whether every point still held that copy's bytes when
+    the run ended."""
+    obj = EDGE_BOXES[name]() if name in EDGE_BOXES else make_objective(name)
+    fn, seen = obj.fn, []
+
+    def recording(p, *rng):
+        seen.append((p, p.copy()))
+        return fn(p, *rng)
+    r = simulated_annealing(replace(obj, fn=recording), SaConfig(), RngStream(seed, 3))
+    P = np.array([copy for _, copy in seen])
+    return obj, r, P, all(p.tobytes() == copy.tobytes() for p, copy in seen)
 
 
 class TestSimulatedAnnealing:
@@ -268,23 +295,25 @@ class TestSimulatedAnnealing:
             simulated_annealing(make_objective("TP1"), SaConfig(steps_per_temp=value), RngStream(0))
         SaConfig(steps_per_temp=np.int64(30)).validate()
 
-    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5", "NEARLIMIT", "NARROW"])
+    @pytest.mark.parametrize("name", SA_BOX_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_proposal_lies_in_the_box(self, name, seed):
-        obj = EDGE_BOXES[name]() if name in EDGE_BOXES else make_objective(name)
-        fn, seen = obj.fn, []
-
-        def recording(p, *rng):
-            seen.append((p, p.copy()))
-            return fn(p, *rng)
-        r = simulated_annealing(replace(obj, fn=recording), SaConfig(), RngStream(seed, 3))
-        P = np.array([p for p, _ in seen])
-        lo, hi = obj.domain.lo, obj.domain.hi
+        obj, r, P, unwritten = recorded_annealing(name, seed)
         assert len(P) == r.evaluations
-        assert ((P >= lo) & (P <= hi)).all()
-        assert ((P == lo) | (P == hi)).any()  # some proposals were clamped
+        assert ((P >= obj.domain.lo) & (P <= obj.domain.hi)).all()
         # Proposals are built in place; none is written once evaluated.
-        assert all(p.tobytes() == copy.tobytes() for p, copy in seen)
+        assert unwritten
+
+    @pytest.mark.parametrize("name", SA_BOX_CASES)
+    def test_some_proposals_are_clamped(self, name):
+        # Coverage for the clamp, over the seeds above: a single seed may
+        # clamp none (F5 clamps 0, 5 and 1 proposals on seeds 0-2, F2 127,
+        # 171 and 0).
+        clamped = 0
+        for seed in (0, 1, 2):
+            obj, _, P, _ = recorded_annealing(name, seed)
+            clamped += ((P == obj.domain.lo) | (P == obj.domain.hi)).any(axis=1).sum()
+        assert clamped
 
     def test_tp1_converges(self):
         obj = make_objective("TP1")
@@ -318,8 +347,10 @@ def test_nan_first_draw_does_not_stick(run):
 
 
 def sa_reference(obj: Objective, sa: SaConfig, rng: RngStream) -> RunResult:
-    """Simulated annealing as it ran before its proposals were built in
-    place: each one a fresh expression, ranked by ``better``."""
+    """Simulated annealing written out: each stage draws its proposal
+    offsets and acceptance draws in one block each, each proposal is a fresh
+    expression, and the Metropolis test ranks by ``better`` and takes libm's
+    ``exp``."""
     t0_clock = time.perf_counter()
     box = obj.domain
 
@@ -337,10 +368,12 @@ def sa_reference(obj: Objective, sa: SaConfig, rng: RngStream) -> RunResult:
         if temp < 0.01 * sa.t0:
             x, fx = best_x, best_v
         sigma = base_sigma * max(np.sqrt(temp / sa.t0), 0.02)
-        for _ in range(sa.steps_per_temp):
-            prop = np.minimum(np.maximum(x + rng.normal(size=obj.dim) * sigma, box.lo), box.hi)
+        Z = rng.normal(size=(sa.steps_per_temp, obj.dim)) * sigma
+        U = rng.random(sa.steps_per_temp)
+        for z, u in zip(Z, U):
+            prop = np.minimum(np.maximum(x + z, box.lo), box.hi)
             fp = call(prop)
-            if better(fp, fx) or rng.random() < np.exp(-(fp - fx) / temp):
+            if better(fp, fx) or u < math.exp(-(fp - fx) / temp):
                 x, fx = prop, fp
             if better(fp, best_v):
                 best_x, best_v = prop, fp
