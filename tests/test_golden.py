@@ -37,7 +37,7 @@ SGM_GRADIENT_DIGESTS = {
 RS_DIGESTS = {
     "F2": "f51fbbd37ee53c763e240c48e0ca27c9d981713ea99b875d59742ebc546bbfeb",
     "F3": "f337c5cb7e390dedb3fc0ca6c5fafa40241e9da314dd7694379f6ef00acda85a",
-    "F4": "a719bfc3dcdd3d4a775d91ecf98e4329d4c18519dee3e34991b74d50a0605fce",
+    "F4": "281205a6a56bdb79361ddbb66ed05ea6e67120c6a04cc63bd7163076c688d317",
     "F5": "e85005ab229ceaf693ceb9b59e639d4c68996bc00c04302c05c275fe1d013acb",
     "TP1": "e34192000b8c9f096fe41c225b0775bf6613c6f8b21658a7f0ef08bd1a002eda",
 }
@@ -146,21 +146,21 @@ PHASE1_STOP_DIGESTS = {
 }
 
 SA_DIGESTS = {
-    "BEALE": "572aaa1e490f313f0e11a4e53dd9df24befdb6c2d84646d9b64854863bdc93db",
-    "F1": "0ee255f75572b53b7a17a0cd217e4faf9e372b5ea72759d22b250c54fee7fd5d",
-    "F2": "edaa5aae35098bc59e1da53d5ff3420cc44e6db4aa3c175084dbd26a693ab2f4",
-    "F3": "05aa0c4665dabf783a43220709ea40b571b629b8e7a2f59eddd4f92c5282bc3c",
-    "F4": "19ecbcfaef987abe62dcdeddd67216dfce74e60a789e147243404bea747498c8",
-    "F5": "2d54ce2e301d43bd7b7615d342d22a2f5eab350fefe6b61fae0a8f0e5127d888",
-    "TP1": "5a1f38540ddf04c61ce2c419c348c935c85695e70f29fae8130f6f47469709f2",
+    "BEALE": "af32dd952739ca529666ed9edfdade2305a8d6d508cf982589ebf775c0a69fd0",
+    "F1": "9d6c84423bc60e98f2fcb83999b7efdc790b8dcac64869a11721b7d792883032",
+    "F2": "eedfc61d29d9db9af0fb7b6859ecf230b97c549fa471b6041b256e8bce6a85da",
+    "F3": "fafbaf99ed9064b854c8c7c800b9d6815316b3063ee65a9591fe288ebf111444",
+    "F4": "b0c2e506b6111e6bf33e7136b6614dd6e2d64d80fc1588c06be56a46fa1e1004",
+    "F5": "f2ecb113d64f2b2672bd6ff86eec7d7b1a55094d8fa6c83c0c5dc932298dac2e",
+    "TP1": "ad4e1c21814bd2f6e895571dfacff538ef65c9ee732da6d548f62f308f51fdd3",
 }
 
 # A faster schedule than the default: cooling 0.8 from t0 = 10 reaches
 # t_min = 1e-5 after 62 stages of 7 steps, so 1 + 62 * 7 = 435 evaluations.
 SA_FAST_CONFIG = SaConfig(cooling=0.8, steps_per_temp=7, proposal_scale=0.3)
 SA_FAST_DIGESTS = {
-    "F2": "40861762ef2299972f24da861a5e5e9dcc718a3aa5d129a41aaead631401b82a",
-    "F4": "da7164db84a81767382ce285cad68f3c3902fa82babf93733719262e2a0499bc",
+    "F2": "13368b1d9be0e6e5b7f9f2857a6449cf886a589dbcdcc33161369c87232db86f",
+    "F4": "661cd6387086bbb13a437387e8b98479138467f6f24425f1484b8feb4c86a9c4",
 }
 
 
