@@ -2,24 +2,24 @@
 the Beale function) plus the five De Jong functions F1-F5, with analytic
 gradients where they exist.
 
-Every function, and F4's noise-free part, has a batch form registered
-with ``core.vectorises`` that evaluates each row of an (m, n) array in one
-call.  F4's noisy form ``eval_f4(p, rng)`` has ``batch_f4(P, rng)``, which
-draws the noise of all m rows in one ``rng.normal`` call: the same numbers,
-in the same order, as m successive ``eval_f4`` calls.  F1, F3 and F4's noise-free part are one numpy expression
-summed with ``np.add.reduce`` over the last axis, so each is its own batch
-form; for one point each returns a numpy float64, a ``float`` subclass with
-the same value.  TP1, BEALE, F2 and F5 keep a separate scalar form that
-returns a Python float, because a row walk evaluates one point at a time
-and these are faster at it.  Where such a scalar form applies ``**`` to a
-single number, its batch form uses ``np.float_power``, which calls the same
-libm ``pow``; ``np.power`` and ``x * x`` round differently on some points.
-No power here goes through numpy's ``**`` on an array: numpy may send that
-to an AVX-512 kernel that is slower and an ulp off libm on some points, so
-values would depend on the host.  F4 and F5 use ``np.float_power`` instead, and their
-values are libm's on every host.  Where F5's scalar form sums an array, its
-batch form sums along the rows.  tests/test_testbed.py checks all of this
-bit for bit.
+Every function, and F4's noise-free part, has a batch form registered with
+``core.vectorises`` that evaluates each row of an (m, n) array in one call.
+F4's noisy form ``eval_f4(p, rng)`` has ``batch_f4(P, rng)``, which draws
+the noise of all m rows in one ``rng.normal`` call: the same numbers, in
+the same order, as m successive ``eval_f4`` calls.  F1, F3 and F4's
+noise-free part are one numpy expression summed with ``np.add.reduce`` over
+the last axis, so each is its own batch form; for one point each returns a
+numpy float64, a ``float`` subclass with the same value.  TP1, BEALE, F2
+and F5 keep a separate scalar form that returns a Python float, because a
+row walk evaluates one point at a time and these are faster at it.  Where
+such a scalar form applies ``**`` to a single number, its batch form uses
+``np.float_power``, which calls the same libm ``pow``; ``np.power`` and
+``x * x`` round differently on some points.  No power here goes through numpy's
+``**`` on an array: numpy may send that to an AVX-512 kernel that is slower
+and an ulp off libm on some points, so values would depend on the host.  F4
+and F5 use ``np.float_power`` instead, and their values are libm's on every
+host.  Where F5's scalar form sums an array, its batch form sums along the
+rows.  tests/test_testbed.py checks all of this bit for bit.
 
 The Shekel foxholes constants are a module constant built from their
 structure: the 25 well centres are the 5x5 grid over (-32, -16, 0, 16, 32).
