@@ -83,15 +83,14 @@ def random_search(obj: Objective, budget: int, rng: RngStream) -> RunResult:
     # subnormal span is exact.  So lo plus the rounded product is at most
     # hi, and rounding that sum, being monotone, keeps it at most the float
     # hi (and at least lo, as the product is >= 0).
-    fn, stochastic, batch = obj.fn, obj.stochastic, batch_form(obj.fn)
+    fn, batch = obj.fn, batch_form(obj.fn)
+    extra = (rng,) if obj.stochastic else ()
     best_x = best_v = None
     trace = []
     for start in range(0, budget, RS_BLOCK):
         X = lo + span * rng.random((min(RS_BLOCK, budget - start), obj.dim))
-        if batch is not None:
-            vals = (batch(X, rng) if stochastic else batch(X)).tolist()
-        else:
-            vals = [float(fn(x, rng)) for x in X] if stochastic else [float(fn(x)) for x in X]
+        vals = (batch(X, *extra).tolist() if batch is not None
+                else [float(fn(x, *extra)) for x in X])
         # Only values below the best so far can beat it; NaN passes this
         # filter, and ``better`` ranks it worst.
         rows = range(len(X)) if best_v is None else [

@@ -4,14 +4,15 @@ gradients where they exist.
 
 Every function, and F4's noise-free part, has a batch form registered with
 ``core.vectorises`` that evaluates each row of an (m, n) array in one call.
-F4's noisy form ``eval_f4(p, rng)`` has ``batch_f4(P, rng)``, which draws
-the noise of all m rows in one ``rng.normal`` call: the same numbers, in
-the same order, as m successive ``eval_f4`` calls.  F1, F3 and F4's
-noise-free part are one numpy expression summed with ``np.add.reduce`` over
-the last axis, so each is its own batch form; for one point each returns a
-numpy float64, a ``float`` subclass with the same value.  TP1, BEALE, F2
-and F5 keep a separate scalar form that returns a Python float, because a
-row walk evaluates one point at a time and these are faster at it.  Where
+F1, F3 and F4, both its noisy form ``eval_f4(p, rng)`` and its noise-free
+part, are one numpy expression summed with ``np.add.reduce`` over the last
+axis, so each is its own batch form; for one point each returns a numpy
+float64, a ``float`` subclass with the same value.  On an (m, 30) block
+``eval_f4`` draws the noise of all m rows in one ``rng.normal`` call: the
+same numbers, in the same order, as m successive one-point calls.  TP1,
+BEALE, F2 and F5 keep a separate scalar form that returns a Python float,
+because a row walk evaluates one point at a time and these are faster at
+it.  Where
 such a scalar form applies ``**`` to a single number, its batch form uses
 ``np.float_power``, which calls the same libm ``pow``; ``np.power`` and
 ``x * x`` round differently on some points.  No power here goes through numpy's
@@ -135,19 +136,16 @@ def f4_deterministic(p):
 vectorises(f4_deterministic)(f4_deterministic)
 
 
-def eval_f4(p, rng: RngStream) -> float:
-    # One fresh Gauss(0,1) per term per evaluation (30 draws each call).
-    # Written out, not a call of batch_f4: simulated annealing calls this
-    # once per step, and the extra call cost about 8% of it.
+def eval_f4(p, rng: RngStream):
+    """F4: sum_i (i * x_i^4 + Gauss(0, 1)), one fresh draw per term per
+    evaluation.  Generator fills row-major, so for an (m, 30) block one
+    ``rng.normal`` call draws the noise of m successive one-point calls, in
+    order, and leaves the stream where they do."""
     x = np.asarray(p, dtype=float)
-    return float(np.add.reduce(_F4_COEF * np.float_power(x, 4) + rng.normal(size=30)))
+    return np.add.reduce(_F4_COEF * np.float_power(x, 4) + rng.normal(size=x.shape), axis=-1)
 
 
-@vectorises(eval_f4)
-def batch_f4(P, rng: RngStream) -> np.ndarray:
-    # Generator fills row-major, so one (m, 30) block holds the draws of m
-    # successive eval_f4 calls, in order, and leaves the stream where they do.
-    return np.add.reduce(_F4_COEF * np.float_power(P, 4) + rng.normal(size=P.shape), axis=-1)
+vectorises(eval_f4)(eval_f4)
 
 
 _W = np.array([-32.0, -16.0, 0.0, 16.0, 32.0])

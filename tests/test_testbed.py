@@ -6,7 +6,7 @@ import pytest
 
 from sgmopt.core import LabelStrategy, RngStream, SgmConfig, batch_form
 from sgmopt import testbed
-from sgmopt.testbed import (batch_f4, eval_beale, eval_f1, eval_f2, eval_f3, eval_f4,
+from sgmopt.testbed import (eval_beale, eval_f1, eval_f2, eval_f3, eval_f4,
                             eval_f5, eval_tp1, f4_deterministic,
                             finite_difference_gradient, foxholes_matrix,
                             make_objective, VALID_NAMES)
@@ -234,14 +234,15 @@ def test_batch_form_matches_scalar_bit_for_bit(name):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_f4_noisy_batch_form_matches_successive_calls(seed):
-    """``batch_f4(P, rng)`` equals ``eval_f4`` called on each row in turn on
-    the same stream, bit for bit, and leaves the stream where they do."""
+    """``eval_f4`` is its own batch form: ``eval_f4(P, rng)`` equals
+    ``eval_f4`` called on each row in turn on the same stream, bit for bit,
+    and leaves the stream where they do."""
     obj = make_objective("F4")
-    assert batch_form(obj.fn) is batch_f4
+    assert batch_form(obj.fn) is eval_f4
     P = batch_cases(obj, count=1_000, seed=seed)
     rows_rng, batch_rng = RngStream(seed), RngStream(seed)
     want = np.array([eval_f4(p, rows_rng) for p in P])
-    got = batch_f4(P, batch_rng)
+    got = eval_f4(P, batch_rng)
     assert got.shape == want.shape
     bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
     assert bad.size == 0, (f"{bad.size} of {len(P)} rows differ, first at row {bad[0]}; "
